@@ -11,8 +11,8 @@
 //!   Section IV metric) over the whole mix, baselines served by the shared
 //!   [`BaselineCache`];
 //! * **host wall-clock** — how long the simulation itself took, the
-//!   scaling signal for the `simcore` kernel (the `kernel_scaling`
-//!   criterion group tracks the same quantity with statistics).
+//!   scaling signal for the `simcore` kernel (the repository benchmark's
+//!   `contended` and `coordinated` workloads time the same sessions).
 //!
 //! The sweep runs through [`run_scenarios_sharded`]: one shard per
 //! strategy, all sharing one baseline cache.

@@ -5,9 +5,7 @@
 //! [`FigureOutput`] (the same curves/rows the paper plots, plus free-form
 //! notes) or a typed [`calciom::Error`], and an [`Experiment`]
 //! implementation that plugs it into the [`Registry`]. The binaries in
-//! `src/bin/` are thin [`cli`] entry points over the registry; the
-//! Criterion benches in `benches/` measure the cost of representative
-//! slices of each experiment.
+//! `src/bin/` are thin [`cli`] entry points over the registry.
 //!
 //! `quick = true` runs a reduced parameter sweep (fewer `dt` points, fewer
 //! iterations) so that the whole suite stays fast in CI; `quick = false`

@@ -73,12 +73,11 @@ use crate::metrics::EfficiencyMetric;
 use crate::policy::{DynDecision, DynamicPolicy};
 use crate::strategy::Strategy;
 use pfs::AppId;
-use serde::{Deserialize, Serialize};
 use simcore::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Why a parked application is parked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParkReason {
     /// Waiting for its first grant of the current phase.
     Waiting,
@@ -429,7 +428,7 @@ impl std::error::Error for PolicyError {}
 /// Serializable `name(arg)` description of a policy — the unit the
 /// [`PolicyRegistry`] instantiates, the [`Scenario`](crate::Scenario)
 /// codec stores, and the bench CLI's `--policy` flag parses.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PolicySpec {
     /// Registered policy name (e.g. `fcfs`, `rr`).
     pub name: String,

@@ -42,7 +42,6 @@ use crate::arbiter::Arbiter;
 use crate::error::{ClusterConfigError, ConfigError, ScenarioParseError};
 use crate::scenario::{invalid, Scenario};
 use pfs::AppId;
-use serde::{Deserialize, Serialize};
 use simcore::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -57,7 +56,7 @@ pub const DEFAULT_QUANTUM: SimDuration = SimDuration::from_ticks(30_000_000);
 /// Carried by [`Scenario::cluster`]; a scenario without one runs the flat,
 /// single-arbiter code path. Encoded as the optional `cluster =` key of
 /// the scenario text codec (see [`ClusterSpec::to_text`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Number of shared-PFS bandwidth slots the root arbiter owns —
     /// machines holding a slot may let their applications do I/O.
@@ -71,7 +70,7 @@ pub struct ClusterSpec {
 }
 
 /// One machine of a [`ClusterSpec`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineSpec {
     /// One-way cross-arbiter message latency between this machine's leaf
     /// and the root (escalations travel up with it, grants down with it).
@@ -246,7 +245,7 @@ impl MachineLoad {
 
 /// Message-accounting snapshot of a [`ClusterTransport`] — the quantities
 /// the flat-vs-hierarchical cost study (`fig15_cluster`) compares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterStats {
     /// Number of machines in the tree.
     pub machines: usize,

@@ -11,12 +11,11 @@
 use crate::error::InfoError;
 use mpiio::Granularity;
 use pfs::AppId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Knowledge about one application's ongoing / upcoming I/O activity, as
 /// shared with the other applications through CALCioM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IoInfo {
     /// The application this information describes.
     pub app: AppId,

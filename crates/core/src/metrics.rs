@@ -9,10 +9,9 @@
 //! factor `I = T / T_alone` of Section II-C.
 
 use pfs::AppId;
-use serde::{Deserialize, Serialize};
 
 /// A machine-wide efficiency metric to minimize.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EfficiencyMetric {
     /// Σ_X T_X — the sum of observed I/O times over applications.
     TotalIoTime,
@@ -48,7 +47,7 @@ impl EfficiencyMetric {
 }
 
 /// Per-application observation used to evaluate a metric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppObservation {
     /// Which application.
     pub app: AppId,

@@ -63,12 +63,11 @@ use crate::scenario::Scenario;
 use crate::session::{AppReport, PhaseResult, SessionReport};
 use crate::strategy::Strategy;
 use pfs::{AppId, TransferId};
-use serde::{Deserialize, Serialize};
 use simcore::time::SimTime;
 use std::collections::BTreeMap;
 
 /// Why an application was granted access to the file system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GrantKind {
     /// Granted at request time (nobody was in the way, or the strategy
     /// tolerates concurrent access).
@@ -107,7 +106,7 @@ impl GrantKind {
 /// Events are emitted in simulated-time order; several events may share a
 /// time stamp (their relative order is the deterministic execution order
 /// of the session loop).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SimEvent {
     /// An application entered an I/O phase (at its requested start time).
     PhaseStarted {
@@ -298,7 +297,7 @@ impl SimObserver for NullObserver {
 
 /// Static description of one application as seen by the observation layer:
 /// the report fields that do not come from the event stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppSeed {
     /// The application.
     pub app: AppId,

@@ -18,10 +18,9 @@
 
 use crate::info::IoInfo;
 use crate::metrics::EfficiencyMetric;
-use serde::{Deserialize, Serialize};
 
 /// The choice made by the dynamic policy for one arriving application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DynDecision {
     /// Let the newcomer proceed concurrently with the current accessor(s).
     Interfere,
@@ -32,7 +31,7 @@ pub enum DynDecision {
 }
 
 /// Configuration of the dynamic policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynamicPolicy {
     /// The machine-wide metric to minimize.
     pub metric: EfficiencyMetric,

@@ -23,7 +23,6 @@ use crate::session::{Session, SessionReport};
 use crate::strategy::Strategy;
 use mpiio::{AccessPattern, AppConfig, CollectiveConfig, Granularity};
 use pfs::{AppId, CacheConfig, PfsConfig, SharePolicy};
-use serde::{Deserialize, Serialize};
 use simcore::fair::SharingModel;
 use simcore::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -32,7 +31,7 @@ use std::collections::BTreeMap;
 const HEADER: &str = "calciom-scenario v1";
 
 /// Full description of one simulated scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// The shared parallel file system.
     pub pfs: PfsConfig,
@@ -50,14 +49,12 @@ pub struct Scenario {
     /// [`SharingModel::MaxMin`] (the default, and what every legacy
     /// scenario decodes to) is the exact max-min fluid solver;
     /// [`SharingModel::FairFast`] is the `O(log n)` virtual-time model.
-    #[serde(default)]
     pub medium: SharingModel,
     /// Hierarchical multi-machine topology: per-machine leaf arbiters
     /// under a slot-owning root (see
     /// [`ClusterTransport`](crate::ClusterTransport)). `None` (the
     /// default, and what every legacy scenario decodes to) runs the flat,
     /// single-arbiter code path.
-    #[serde(default)]
     pub cluster: Option<ClusterSpec>,
     /// How often applications issue coordination calls (interruption
     /// granularity).

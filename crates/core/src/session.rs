@@ -43,13 +43,12 @@ use crate::scenario::Scenario;
 use crate::strategy::{AccessOutcome, Strategy, YieldOutcome};
 use mpiio::{AppConfig, Granularity, IoPlan, StepKind};
 use pfs::{AppId, Pfs, PfsConfig, TransferId};
-use serde::{Deserialize, Serialize};
 use simcore::kernel::Kernel;
 use simcore::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Timing of one I/O phase of one application.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseResult {
     /// Which application.
     pub app: AppId,
@@ -98,7 +97,7 @@ impl PhaseResult {
 }
 
 /// All phases of one application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppReport {
     /// Which application.
     pub app: AppId,
@@ -131,7 +130,7 @@ impl AppReport {
 }
 
 /// The outcome of a session run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionReport {
     /// Strategy that was in force (the scenario's `strategy` field; see
     /// [`SessionReport::policy_label`] for the authoritative description

@@ -10,10 +10,9 @@
 //! interference is low.
 
 use crate::arbitration::PolicySpec;
-use serde::{Deserialize, Serialize};
 
 /// The I/O scheduling strategy applied by CALCioM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Strategy {
     /// No coordination: applications access the file system concurrently
     /// (the baseline the paper calls "interfering").
@@ -71,7 +70,7 @@ impl Strategy {
 }
 
 /// What the arbiter tells an application that asked for access.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessOutcome {
     /// The application may proceed with its I/O immediately.
     Granted,
@@ -84,7 +83,7 @@ pub enum AccessOutcome {
 }
 
 /// What the arbiter tells the current accessor at one of its yield points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum YieldOutcome {
     /// Keep going: nobody needs the file system more urgently.
     Continue,

@@ -12,13 +12,12 @@
 
 use crate::observe::{SimEvent, SimObserver};
 use pfs::AppId;
-use serde::{Deserialize, Serialize};
 use simcore::time::SimTime;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// What an application was doing over a Gantt interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Activity {
     /// Blocked before its first grant of the phase (arbiter queue or
     /// bounded delay).
@@ -44,7 +43,7 @@ impl Activity {
 }
 
 /// One bar of the Gantt chart: `app` did `activity` from `start` to `end`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GanttInterval {
     /// The application.
     pub app: AppId,
@@ -65,7 +64,7 @@ impl GanttInterval {
 
 /// One sample of an application's instantaneous write bandwidth: the rate
 /// holds from [`BandwidthPoint::time`] until the next sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthPoint {
     /// Sample time.
     pub time: SimTime,
@@ -74,7 +73,7 @@ pub struct BandwidthPoint {
 }
 
 /// The derived timeline of one session.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Timeline {
     /// Gantt intervals, in closing order.
     pub intervals: Vec<GanttInterval>,

@@ -40,7 +40,6 @@ use crate::scenario::{self, invalid, parse_num, reject_leftovers, take, Scenario
 use crate::session::SessionReport;
 use crate::strategy::Strategy;
 use pfs::{AppId, TransferId};
-use serde::{Deserialize, Serialize};
 use simcore::observe::{EventLog, Stamped};
 use simcore::time::SimTime;
 use std::collections::BTreeMap;
@@ -51,7 +50,7 @@ const HEADER: &str = "calciom-trace v1";
 
 /// The recorded event stream of one session, with the metadata needed to
 /// replay it into a [`SessionReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Strategy that was in force.
     pub strategy: Strategy,

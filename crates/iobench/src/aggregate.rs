@@ -13,7 +13,6 @@ use crate::parallel::parallel_map;
 use calciom::{Error, Scenario, Session};
 use mpiio::AppConfig;
 use pfs::{AppId, PfsConfig};
-use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 
 /// Configuration of the size sweep.
@@ -33,7 +32,7 @@ pub struct SizeSweepConfig {
 }
 
 /// One point of the size sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SizeSweepPoint {
     /// Number of processes of application B.
     pub b_procs: u32,

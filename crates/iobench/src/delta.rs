@@ -16,7 +16,6 @@ use calciom::{
 };
 use mpiio::AppConfig;
 use pfs::PfsConfig;
-use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 
 /// Configuration of a Δ-graph sweep for one strategy.
@@ -77,7 +76,7 @@ impl DeltaSweepConfig {
 }
 
 /// One point of a Δ-graph.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeltaPoint {
     /// Start offset of B relative to A, in seconds.
     pub dt: f64,
@@ -102,7 +101,7 @@ pub struct DeltaPoint {
 }
 
 /// The result of a Δ-graph sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeltaSweepResult {
     /// Strategy that was swept.
     pub strategy: Strategy,

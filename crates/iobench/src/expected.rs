@@ -10,10 +10,8 @@
 //! both are active each one progresses at a rate proportional to its
 //! weight.
 
-use serde::{Deserialize, Serialize};
-
 /// Expected write times of the two applications under proportional sharing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExpectedTimes {
     /// Expected write time of application A (started at t = 0).
     pub a: f64,

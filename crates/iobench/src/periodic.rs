@@ -12,7 +12,6 @@
 use calciom::{Error, Scenario};
 use mpiio::AppConfig;
 use pfs::PfsConfig;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the periodic-writer experiment.
 #[derive(Debug, Clone)]
@@ -26,7 +25,7 @@ pub struct PeriodicConfig {
 }
 
 /// Per-iteration observed throughput of the first application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeriodicResult {
     /// Observed throughput of each write iteration of application A, in
     /// bytes/s.

@@ -5,10 +5,8 @@
 //! the rendering here lets every binary produce uniform, diff-friendly
 //! output that `EXPERIMENTS.md` can quote directly.
 
-use serde::{Deserialize, Serialize};
-
 /// A named curve: `(x, y)` points in plotting order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Curve label (e.g. "Interfering", "FCFS", "App A").
     pub label: String,
@@ -64,7 +62,7 @@ impl Series {
 }
 
 /// A figure-like collection of curves sharing the same x axis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigureData {
     /// Title printed above the table (e.g. "Figure 7(a) — 2×2048 cores").
     pub title: String,

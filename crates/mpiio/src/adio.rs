@@ -8,11 +8,9 @@
 //! "round-level interruption" curve and the "saw"-shaped "file-level
 //! interruption" curve of Fig. 10.
 
-use serde::{Deserialize, Serialize};
-
 /// How often an application issues coordination calls during an I/O phase,
 /// i.e. the granularity at which it can be interrupted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Granularity {
     /// Coordination only at the start of the whole I/O phase: once the
     /// phase has started it runs to completion.
@@ -51,7 +49,7 @@ impl Granularity {
 
 /// The hook positions exposed by the (simulated) ADIO layer. These mirror
 /// where the CALCioM API calls are placed in the paper's prototype.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HookPoint {
     /// Before the first operation of an I/O phase (application level).
     PhaseBegin,

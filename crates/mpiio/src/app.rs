@@ -11,11 +11,10 @@ use crate::error::ConfigError;
 use crate::pattern::AccessPattern;
 use crate::plan::IoPlan;
 use pfs::{AppId, PfsConfig};
-use serde::{Deserialize, Serialize};
 use simcore::time::{SimDuration, SimTime};
 
 /// Static description of one application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppConfig {
     /// Application identity (shared with the PFS and CALCioM layers).
     pub id: AppId,

@@ -11,10 +11,9 @@
 
 use crate::error::ConfigError;
 use crate::pattern::AccessPattern;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the collective-buffering algorithm for one application.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollectiveConfig {
     /// Number of aggregator processes (ROMIO `cb_nodes`). 0 means "one
     /// aggregator per 64 processes, at least 1".

@@ -8,10 +8,9 @@
 //! Fig. 8 decomposes into communication and write phases.
 
 use crate::error::ConfigError;
-use serde::{Deserialize, Serialize};
 
 /// Per-process file access pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPattern {
     /// Each process writes a single contiguous block of `bytes_per_proc`.
     Contiguous {

@@ -12,10 +12,9 @@
 use crate::adio::Granularity;
 use crate::collective::CollectiveConfig;
 use crate::pattern::AccessPattern;
-use serde::{Deserialize, Serialize};
 
 /// What a single step does.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StepKind {
     /// Data shuffle to the aggregators over the compute interconnect; does
     /// not touch the file system.
@@ -31,7 +30,7 @@ pub enum StepKind {
 }
 
 /// One step of an I/O phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IoStep {
     /// File index within the phase (0-based).
     pub file: u32,
@@ -42,7 +41,7 @@ pub struct IoStep {
 }
 
 /// The expanded sequence of steps for one I/O phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IoPlan {
     steps: Vec<IoStep>,
     total_write_bytes: f64,

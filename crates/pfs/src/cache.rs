@@ -9,13 +9,12 @@
 //! stays at disk speed until the backlog has drained to half capacity).
 
 use crate::config::CacheConfig;
-use serde::{Deserialize, Serialize};
 
 /// Numerical tolerance on byte counts.
 const EPS: f64 = 1e-6;
 
 /// Dynamic state of one server's write-back cache.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WriteBackCache {
     cfg: CacheConfig,
     dirty: f64,

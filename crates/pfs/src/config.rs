@@ -9,10 +9,9 @@
 //! hardware.
 
 use crate::error::ConfigError;
-use serde::{Deserialize, Serialize};
 
 /// How a storage server shares its bandwidth between concurrent clients.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SharePolicy {
     /// Bandwidth is shared proportionally to the number of processes
     /// (request streams) each application has in flight. This models a
@@ -27,7 +26,7 @@ pub enum SharePolicy {
 }
 
 /// Write-back cache configuration for a storage server (Fig. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// Dirty-data capacity in bytes. Bursts smaller than this are absorbed
     /// at `absorb_bw`.
@@ -40,7 +39,7 @@ pub struct CacheConfig {
 }
 
 /// Full parallel file system configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PfsConfig {
     /// Number of storage servers (files are striped across all of them).
     pub num_servers: usize,

@@ -12,18 +12,17 @@ use crate::config::PfsConfig;
 use crate::error::ConfigError;
 use crate::server::ServerState;
 use crate::{AppId, WriteBackCache};
-use serde::{Deserialize, Serialize};
 use simcore::fair::{SharingModel, VtFairNetwork};
 use simcore::fluid::{ConstraintId, FlowId, FlowProgress, FlowSpec, FluidNetwork};
 use simcore::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Handle to a submitted transfer (one atomic write).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TransferId(pub u64);
 
 /// Progress snapshot for a transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferProgress {
     /// Bytes written so far.
     pub transferred: f64,

@@ -46,14 +46,12 @@ pub use error::ConfigError;
 pub use filesystem::{Pfs, TransferId, TransferProgress};
 pub use server::ServerState;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of an application (job) as seen by the storage system.
 ///
 /// The same identifier is used by the `mpiio` layer and by CALCioM
 /// coordinators, so that "who is interfering with whom" can be traced
 /// through the whole stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AppId(pub usize);
 
 impl std::fmt::Display for AppId {

@@ -1,8 +1,7 @@
 //! Deterministic JSON rendering of the service's response bodies.
 //!
-//! The vendored `serde` stand-in is marker-only (see `vendor/README.md`),
-//! so the wire JSON is hand-rolled the same way the scenario and trace
-//! codecs are: every map is a `BTreeMap` (or iterated in id order),
+//! The workspace has no serialization dependency, so the wire JSON is
+//! hand-rolled the same way the scenario and trace codecs are: every map is a `BTreeMap` (or iterated in id order),
 //! floats use Rust's shortest round-trip representation, and nothing
 //! depends on wall time or allocation order — two renderings of the same
 //! simulation result are **byte-identical**, which is what lets the

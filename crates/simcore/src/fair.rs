@@ -47,13 +47,12 @@
 
 use crate::fluid::{completion_threshold, ConstraintId, FlowId, FlowProgress, FlowSpec, EPS};
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 /// Which bandwidth-sharing model a file system (and everything above it)
 /// runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SharingModel {
     /// The incremental weighted max-min solver
     /// ([`FluidNetwork`](crate::fluid::FluidNetwork)) — exact,

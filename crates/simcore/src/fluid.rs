@@ -34,7 +34,6 @@
 //! depends only on that component's flows and capacities.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Numerical tolerance for byte counts and rates.
@@ -56,15 +55,15 @@ pub(crate) fn completion_threshold(bytes: f64) -> f64 {
 }
 
 /// Handle to a capacity constraint (e.g. one storage server's bandwidth).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConstraintId(pub usize);
 
 /// Handle to a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowId(pub u64);
 
 /// Static description of a flow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlowSpec {
     /// Total number of bytes the flow must transfer.
     pub bytes: f64,
@@ -101,7 +100,7 @@ struct FlowState {
 }
 
 /// Snapshot of a flow's progress, returned by accessors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowProgress {
     /// Bytes still to transfer.
     pub remaining: f64,

@@ -15,10 +15,9 @@
 //! arbiters or file systems.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// An event paired with the simulated time at which it was emitted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stamped<E> {
     /// When the event was emitted.
     pub time: SimTime,
@@ -38,7 +37,7 @@ impl<E> Stamped<E> {
 /// Emission order is the order of the underlying stream; the log asserts
 /// (in debug builds) that time stamps never go backwards, which is the
 /// property replaying consumers rely on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventLog<E> {
     events: Vec<Stamped<E>>,
 }

@@ -1,9 +1,12 @@
 //! Small deterministic pseudo-random number generator.
 //!
 //! The simulation engine itself is deterministic; randomness is only used by
-//! workload generators (jitter on start dates, synthetic job traces). A
-//! self-contained SplitMix64/xoshiro-style generator keeps `simcore` free of
-//! heavyweight dependencies while guaranteeing identical streams across
+//! workload generators and test inputs. [`DetRng`] is the workspace's one
+//! PRNG: the `workloads` generators (`MachineMix`, and through it
+//! `ClusterMix`, and the synthetic Intrepid-like trace) draw from its
+//! samplers, and the vendored `proptest` stand-in draws its cases from it.
+//! A self-contained SplitMix64/xoshiro generator keeps the workspace free
+//! of third-party RNG crates while guaranteeing identical streams across
 //! platforms.
 
 /// A deterministic 64-bit PRNG (xoshiro256++ seeded via SplitMix64).

@@ -6,10 +6,9 @@
 //! paper reports.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A `(time, value)` series, e.g. observed throughput per write iteration.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     points: Vec<(f64, f64)>,
 }
@@ -77,7 +76,7 @@ impl TimeSeries {
 
 /// Online summary statistics (count / mean / min / max / variance) using
 /// Welford's algorithm.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -149,7 +148,7 @@ impl Summary {
 
 /// A fixed-bin histogram over `[lo, hi)` with overflow/underflow buckets,
 /// used for the job-size and concurrency distributions of Fig. 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -30,7 +30,6 @@ use calciom::cluster::{ClusterSpec, MachineSpec};
 use calciom::{PolicySpec, Scenario, Strategy};
 use mpiio::AppConfig;
 use pfs::AppId;
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 
 /// Seed offset between consecutive machines' draws (a prime, so machine
@@ -38,7 +37,7 @@ use simcore::time::SimDuration;
 const MACHINE_SEED_STRIDE: u64 = 10_007;
 
 /// Generator of M-machine cluster mixes over a shared PFS.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterMix {
     /// Number of machines (leaf arbiters).
     pub machines: usize,

@@ -6,10 +6,9 @@
 //! random variable `X` used by the Section II-B probability model.
 
 use crate::trace::JobTrace;
-use serde::{Deserialize, Serialize};
 
 /// Time-weighted distribution of the number of concurrently running jobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConcurrencyDistribution {
     /// `probability[n]` is the fraction of time during which exactly `n`
     /// jobs were running.

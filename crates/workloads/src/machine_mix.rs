@@ -34,14 +34,11 @@ use crate::trace::{Job, JobTrace};
 use calciom::{PolicySpec, Scenario, SharingModel, Strategy};
 use mpiio::{AccessPattern, AppConfig};
 use pfs::{AppId, PfsConfig};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
+use simcore::DetRng;
 
 /// Generator of N-application machine mixes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineMix {
     /// Number of applications.
     pub apps: usize,
@@ -66,7 +63,6 @@ pub struct MachineMix {
     /// exact max-min solver re-rates a whole component per flow mutation;
     /// machine-scale mixes (tens of thousands of applications) switch to
     /// [`SharingModel::FairFast`] for `O(log n)` mutations.
-    #[serde(default)]
     pub medium: SharingModel,
 }
 
@@ -102,50 +98,23 @@ impl MachineMix {
     /// The generated applications, in id order. Deterministic per
     /// configuration.
     pub fn applications(&self) -> Vec<AppConfig> {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        let total_weight: f64 = SIZE_BUCKETS.iter().map(|(_, w)| w).sum();
+        let mut rng = DetRng::new(self.seed);
+        let weights: Vec<f64> = SIZE_BUCKETS.iter().map(|&(_, w)| w).collect();
         let (lo, hi) = self.bytes_per_proc;
         assert!(lo > 0.0 && hi >= lo, "bytes_per_proc must be positive");
 
         (0..self.apps)
             .map(|i| {
                 // Job size: the Fig. 1(a) categorical, capped for the mix.
-                let mut pick = rng.gen_range(0.0..total_weight);
-                let mut procs = SIZE_BUCKETS[0].0;
-                for (size, weight) in SIZE_BUCKETS {
-                    if pick < weight {
-                        procs = size;
-                        break;
-                    }
-                    pick -= weight;
-                }
-                let procs = procs.min(self.max_procs).max(1);
-
+                let procs = SIZE_BUCKETS[rng.weighted_index(&weights)]
+                    .0
+                    .min(self.max_procs)
+                    .max(1);
                 // Per-process volume: log-uniform across the range.
-                let bytes = if hi > lo {
-                    let u: f64 = rng.gen_range(0.0..1.0);
-                    lo * (hi / lo).powf(u)
-                } else {
-                    lo
-                };
-
-                let phases = if self.max_phases > 1 {
-                    let u: f64 = rng.gen_range(0.0..1.0);
-                    (1 + (u * self.max_phases as f64) as u32).min(self.max_phases)
-                } else {
-                    1
-                };
-                let (plo, phi) = self.period_secs;
-                let period = if phi > plo {
-                    rng.gen_range(plo..phi)
-                } else {
-                    plo
-                };
-                let start = if self.start_window_secs > 0.0 {
-                    rng.gen_range(0.0..self.start_window_secs)
-                } else {
-                    0.0
-                };
+                let bytes = lo * (hi / lo).powf(rng.next_f64());
+                let phases = 1 + rng.below(u64::from(self.max_phases.max(1))) as u32;
+                let period = rng.uniform(self.period_secs.0, self.period_secs.1);
+                let start = rng.uniform(0.0, self.start_window_secs);
 
                 AppConfig::new(
                     AppId(i),

@@ -9,13 +9,10 @@
 //! that the machine hosts tens of jobs at any instant.
 
 use crate::trace::{Job, JobTrace};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use simcore::DetRng;
 
 /// Configuration of the synthetic trace generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticTraceConfig {
     /// Number of jobs to generate.
     pub jobs: usize,
@@ -65,35 +62,23 @@ pub const SIZE_BUCKETS: [(u32, f64); 10] = [
 
 /// Generates a synthetic Intrepid-like trace.
 pub fn generate(cfg: &SyntheticTraceConfig) -> JobTrace {
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+    let mut rng = DetRng::new(cfg.seed);
     let mut jobs = Vec::with_capacity(cfg.jobs);
     let mut clock = 0.0_f64;
-    let total_weight: f64 = SIZE_BUCKETS.iter().map(|(_, w)| w).sum();
+    let weights: Vec<f64> = SIZE_BUCKETS.iter().map(|&(_, w)| w).collect();
 
     for id in 0..cfg.jobs {
         // Poisson arrivals of job starts.
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        clock += -cfg.mean_interarrival_secs * u.ln();
+        clock += rng.exponential(cfg.mean_interarrival_secs);
 
         // Categorical job size.
-        let mut pick = rng.gen_range(0.0..total_weight);
-        let mut procs = SIZE_BUCKETS[0].0;
-        for (size, weight) in SIZE_BUCKETS {
-            if pick < weight {
-                procs = size;
-                break;
-            }
-            pick -= weight;
-        }
-        let procs = procs.min(cfg.machine_cores);
+        let procs = SIZE_BUCKETS[rng.weighted_index(&weights)]
+            .0
+            .min(cfg.machine_cores);
 
         // Log-normal run time, with larger jobs running somewhat longer
         // (weak positive correlation, as in production traces).
-        let normal: f64 = {
-            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
-            (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-        };
+        let normal = rng.standard_normal();
         let size_boost = (procs as f64 / 2048.0).ln().max(0.0) * 0.15;
         let run_time = (cfg.runtime_log_mean + size_boost + cfg.runtime_log_sigma * normal).exp();
         let run_time = run_time.clamp(60.0, 7.0 * 86_400.0);

@@ -8,8 +8,6 @@
 //! the Standard Workload Format (SWF) used by the archive, and the derived
 //! statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// A problem found while parsing a Standard Workload Format document.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceParseError {
@@ -45,7 +43,7 @@ impl std::fmt::Display for TraceParseError {
 impl std::error::Error for TraceParseError {}
 
 /// One job from a scheduler trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Job {
     /// Job identifier.
     pub id: u64,
@@ -67,7 +65,7 @@ impl Job {
 }
 
 /// A collection of jobs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobTrace {
     jobs: Vec<Job>,
 }
