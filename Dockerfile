@@ -10,8 +10,7 @@
 # Every CALCIOM_* knob passes straight through the environment:
 #
 #   docker run --rm -p 7117:7117 \
-#     -e CALCIOM_WORKERS=8 -e CALCIOM_REACTOR=epoll \
-#     -e CALCIOM_MAX_CONNS=1024 calciom-serve
+#     -e CALCIOM_WORKERS=8 -e CALCIOM_MAX_CONNS=1024 calciom-serve
 
 FROM rust:1-alpine AS build
 RUN apk add --no-cache musl-dev

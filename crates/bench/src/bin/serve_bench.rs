@@ -387,11 +387,10 @@ fn main() -> ExitCode {
         }
     };
     let addr = handle.addr();
-    let mode = handle.mode().label();
 
     println!(
-        "serve-bench: MachineMix(apps={}, seed={}) → /v1/run, {} front end",
-        opts.apps, opts.seed, mode
+        "serve-bench: MachineMix(apps={}, seed={}) → /v1/run",
+        opts.apps, opts.seed
     );
 
     // Unmeasured warm-up: run the one simulation (the cache miss) and a
@@ -484,8 +483,8 @@ fn main() -> ExitCode {
     // The machine-readable record CI archives.
     let mut json = format!(
         "{{\"clients\":{},\"requests_per_client\":{},\"apps\":{},\"seed\":{},\
-         \"pipeline\":{},\"front_end\":\"{}\"",
-        opts.clients, opts.requests, opts.apps, opts.seed, opts.pipeline, mode
+         \"pipeline\":{}",
+        opts.clients, opts.requests, opts.apps, opts.seed, opts.pipeline
     );
     if let Some((phase, latencies)) = &closed {
         json.push_str(&format!(

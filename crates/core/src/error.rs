@@ -250,15 +250,9 @@ impl std::fmt::Display for SessionError {
             SessionError::Deadlock { apps } => {
                 write!(
                     f,
-                    "deadlock: no pending events but applications are not done ["
+                    "deadlock: no pending events but applications are not done "
                 )?;
-                for (i, app) in apps.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "; ")?;
-                    }
-                    write!(f, "{app}")?;
-                }
-                write!(f, "]")
+                write_bounded_list(f, apps, |f, app| write!(f, "{app}"))
             }
             SessionError::HorizonExceeded { horizon } => {
                 write!(f, "simulation exceeded the configured horizon of {horizon}")
@@ -267,18 +261,39 @@ impl std::fmt::Display for SessionError {
             SessionError::StalledTransfer { transfers } => {
                 write!(
                     f,
-                    "stalled: transfers at zero bandwidth with no way to progress ["
+                    "stalled: transfers at zero bandwidth with no way to progress "
                 )?;
-                for (i, (app, tid)) in transfers.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "; ")?;
-                    }
-                    write!(f, "{app} transfer={}", tid.0)?;
-                }
-                write!(f, "]")
+                write_bounded_list(f, transfers, |f, (app, tid)| {
+                    write!(f, "{app} transfer={}", tid.0)
+                })
             }
         }
     }
+}
+
+/// How many entries a listing inside an error message shows. A stalled
+/// mix of thousands of applications must not become a megabyte error
+/// body; the error value itself keeps every entry.
+const MAX_LISTED: usize = 16;
+
+/// Writes `[a; b; …]` with at most [`MAX_LISTED`] entries, ending in
+/// `; … and K more]` when some were left out.
+fn write_bounded_list<T>(
+    f: &mut std::fmt::Formatter<'_>,
+    items: &[T],
+    mut entry: impl FnMut(&mut std::fmt::Formatter<'_>, &T) -> std::fmt::Result,
+) -> std::fmt::Result {
+    write!(f, "[")?;
+    for (i, item) in items.iter().take(MAX_LISTED).enumerate() {
+        if i > 0 {
+            write!(f, "; ")?;
+        }
+        entry(f, item)?;
+    }
+    if items.len() > MAX_LISTED {
+        write!(f, "; … and {} more", items.len() - MAX_LISTED)?;
+    }
+    write!(f, "]")
 }
 
 impl std::error::Error for SessionError {}
@@ -579,6 +594,34 @@ mod tests {
             "stalled: transfers at zero bandwidth with no way to progress \
              [app0 transfer=3; app1 transfer=7]"
         );
+    }
+
+    #[test]
+    fn deadlock_message_lists_at_most_sixteen_apps() {
+        let apps: Vec<DeadlockApp> = (0..50_000)
+            .map(|i| DeadlockApp {
+                app: AppId(i),
+                state: AppRunState::WantAccess,
+                granted: false,
+            })
+            .collect();
+        let message = SessionError::Deadlock { apps }.to_string();
+        assert!(message.len() <= 2048, "{} bytes", message.len());
+        assert!(message.contains("app15 state="), "{message}");
+        assert!(!message.contains("app16 state="), "{message}");
+        assert!(message.ends_with("; … and 49984 more]"), "{message}");
+    }
+
+    #[test]
+    fn stalled_transfer_message_lists_at_most_sixteen_transfers() {
+        let transfers: Vec<(AppId, TransferId)> = (0..50_000u64)
+            .map(|i| (AppId(i as usize), TransferId(i)))
+            .collect();
+        let message = SessionError::StalledTransfer { transfers }.to_string();
+        assert!(message.len() <= 2048, "{} bytes", message.len());
+        assert!(message.contains("app15 transfer=15"), "{message}");
+        assert!(!message.contains("app16 "), "{message}");
+        assert!(message.ends_with("; … and 49984 more]"), "{message}");
     }
 
     #[test]

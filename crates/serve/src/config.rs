@@ -6,27 +6,6 @@
 //! offending variable, so a typo in a deployment manifest fails the boot
 //! instead of silently running with a default.
 
-/// Which front end drives connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReactorMode {
-    /// Readiness-driven: one reactor thread multiplexes every connection
-    /// over `epoll`, simulation work goes to the worker pool. Linux only.
-    Epoll,
-    /// Portable fallback: a bounded pool of blocking worker threads, one
-    /// connection per worker at a time (still keep-alive capable).
-    Threads,
-}
-
-impl ReactorMode {
-    /// Stable label (`epoll` / `threads`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            ReactorMode::Epoll => "epoll",
-            ReactorMode::Threads => "threads",
-        }
-    }
-}
-
 /// Tunable limits and sizing of one server process.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
@@ -52,11 +31,6 @@ pub struct ServeConfig {
     /// (`CALCIOM_MAX_HORIZON`, default 7 simulated days). A scenario
     /// asking for more is rejected `422` before it can wedge a worker.
     pub max_horizon_secs: f64,
-    /// Requested front end (`CALCIOM_REACTOR`, `epoll` or `threads`;
-    /// unset picks `epoll` where available). Resolved by
-    /// [`ServeConfig::reactor_mode`], which falls back to threads on
-    /// non-Linux hosts regardless of the request.
-    pub reactor: Option<ReactorMode>,
     /// Maximum requests served on one connection before the server
     /// forces `Connection: close` (`CALCIOM_MAX_REQUESTS`, default 1000;
     /// 0 means unlimited). Bounds how long one client can pin server
@@ -90,7 +64,6 @@ impl Default for ServeConfig {
             max_body: 4 << 20,
             cache_cap: 256,
             max_horizon_secs: 7.0 * 86_400.0,
-            reactor: None,
             max_requests_per_conn: 1000,
             idle_timeout_ms: 5_000,
             header_timeout_ms: 10_000,
@@ -136,17 +109,6 @@ impl ServeConfig {
                 value: format!("{}", config.max_horizon_secs),
             });
         }
-        config.reactor = match read("CALCIOM_REACTOR").as_deref() {
-            None | Some("auto") => None,
-            Some("epoll") => Some(ReactorMode::Epoll),
-            Some("threads") => Some(ReactorMode::Threads),
-            Some(other) => {
-                return Err(ServeConfigError {
-                    var: "CALCIOM_REACTOR",
-                    value: other.to_string(),
-                })
-            }
-        };
         config.max_requests_per_conn =
             parsed("CALCIOM_MAX_REQUESTS", config.max_requests_per_conn)?;
         config.idle_timeout_ms = parsed("CALCIOM_IDLE_TIMEOUT_MS", config.idle_timeout_ms)?;
@@ -181,17 +143,6 @@ impl ServeConfig {
     /// The effective default shard count (resolves `0` to the core count).
     pub fn effective_shards(&self) -> usize {
         resolve_auto(self.shards)
-    }
-
-    /// The front end actually used: the configured one where supported,
-    /// else the portable threads fallback. `epoll` only exists on Linux,
-    /// so every other host resolves to [`ReactorMode::Threads`] no
-    /// matter what was requested.
-    pub fn reactor_mode(&self) -> ReactorMode {
-        if !cfg!(target_os = "linux") {
-            return ReactorMode::Threads;
-        }
-        self.reactor.unwrap_or(ReactorMode::Epoll)
     }
 
     /// The per-connection request cap as an `Option` (0 = unlimited).
@@ -246,21 +197,6 @@ mod tests {
         assert!(c.idle_timeout().as_millis() > 0);
         assert!(c.header_timeout() >= c.idle_timeout());
         assert!(c.max_conns >= 64);
-    }
-
-    #[test]
-    fn reactor_resolution_prefers_epoll_on_linux_only() {
-        let c = ServeConfig::default();
-        if cfg!(target_os = "linux") {
-            assert_eq!(c.reactor_mode(), ReactorMode::Epoll);
-        } else {
-            assert_eq!(c.reactor_mode(), ReactorMode::Threads);
-        }
-        let forced = ServeConfig {
-            reactor: Some(ReactorMode::Threads),
-            ..ServeConfig::default()
-        };
-        assert_eq!(forced.reactor_mode(), ReactorMode::Threads);
     }
 
     #[test]

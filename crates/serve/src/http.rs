@@ -21,8 +21,8 @@
 //!   `Transfer-Encoding: chunked`.
 //!
 //! Connection lifetime policy (idle/header timeouts, requests-per-
-//! connection cap) lives in the transports ([`crate::reactor`],
-//! [`crate::server`]); this module only parses and frames.
+//! connection cap) lives in [`crate::conn`] and the reactor that drives
+//! it ([`crate::reactor`]); this module only parses and frames.
 
 use std::collections::BTreeMap;
 
@@ -53,7 +53,7 @@ pub enum HttpError {
         limit: usize,
     },
     /// The client stalled mid-request past the header timeout (the
-    /// slow-loris defense; raised by the transports, not the parser).
+    /// slow-loris defense; raised by [`crate::reactor`], not the parser).
     Timeout,
 }
 
@@ -509,14 +509,6 @@ impl Response {
         );
         out
     }
-
-    /// Serializes status line + headers + body to the wire with
-    /// `Connection: close` framing — the one-exchange path (error
-    /// responses, the threads fallback's final exchange).
-    pub fn write_to(&self, stream: &mut impl std::io::Write) -> std::io::Result<()> {
-        stream.write_all(&self.serialize(true))?;
-        stream.flush()
-    }
 }
 
 #[cfg(test)]
@@ -671,10 +663,6 @@ mod tests {
 
         let keep = String::from_utf8(response.serialize(false)).unwrap();
         assert!(keep.contains("connection: keep-alive\r\n"));
-
-        let mut out = Vec::new();
-        response.write_to(&mut out).unwrap();
-        assert_eq!(out, response.serialize(true));
     }
 
     #[test]

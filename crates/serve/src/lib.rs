@@ -35,9 +35,9 @@
 //! idle timeout between requests, a slow-loris (header) timeout inside
 //! them, and a requests-per-connection cap. Machine-scale `/v1/batch`
 //! responses stream `Transfer-Encoding: chunked` output as shard
-//! results complete (`?stream=1/0` overrides). Two front ends serve the
-//! same surface: an epoll reactor ([`reactor`], Linux, the default) and
-//! a portable blocking thread pool (`CALCIOM_REACTOR=threads`).
+//! results complete (`?stream=1/0` overrides). One epoll reactor
+//! ([`reactor`]) multiplexes every connection, so the crate is Linux
+//! only.
 //!
 //! Everything is built on `std` only (TCP listener, bounded
 //! worker-thread pool, hand-rolled HTTP/1.1 subset, raw `epoll` FFI) —
@@ -51,14 +51,13 @@ pub mod conn;
 pub mod http;
 pub mod json;
 pub mod log;
-#[cfg(target_os = "linux")]
 pub mod reactor;
 pub mod server;
 pub mod service;
 
 pub use cache::{CachedResponse, ResponseCache};
 pub use client::{Conn, HttpReply};
-pub use config::{ReactorMode, ServeConfig, ServeConfigError};
+pub use config::{ServeConfig, ServeConfigError};
 pub use http::{HttpError, ParsedRequest, Request, RequestParser, Response};
 pub use log::{BufferLog, CacheOutcome, RequestLog, RequestRecord, StderrLog};
 pub use server::{start, ServerHandle, ShutdownSignal};

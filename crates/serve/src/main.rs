@@ -27,10 +27,9 @@ fn main() {
     };
     let config = handle.service().config();
     eprintln!(
-        "calciom-serve: listening on http://{} ({} front end, {} workers, {} default shards, \
+        "calciom-serve: listening on http://{} ({} workers, {} default shards, \
          {} body cap, cache {}, idle {}ms, header {}ms, {} reqs/conn)",
         handle.addr(),
-        handle.mode().label(),
         config.effective_workers(),
         config.effective_shards(),
         config.max_body,

@@ -1,7 +1,7 @@
 //! Readiness-driven front end: one reactor thread multiplexing every
 //! connection over `epoll`, with simulation work on the bounded worker
-//! pool. Linux only — [`crate::server`] falls back to the portable
-//! thread-per-connection pump elsewhere.
+//! pool. This is the service's only front end, so the crate is Linux
+//! only.
 //!
 //! ## Why raw FFI
 //!
@@ -52,7 +52,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::raw::c_int;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -303,7 +303,9 @@ struct Reactor {
     job_tx: SyncSender<Job>,
     service: Arc<Service>,
     stop: Arc<AtomicBool>,
-    ids: Arc<AtomicU64>,
+    /// The id the next accepted connection gets (the request log's
+    /// `conn=` column and its epoll token).
+    next_id: u64,
     /// Connections by id. `BTreeMap` — the serve crate bans hash
     /// collections (simlint R1) so iteration stays deterministic.
     conns: BTreeMap<u64, Slot>,
@@ -317,7 +319,6 @@ pub fn spawn(
     listener: TcpListener,
     service: Arc<Service>,
     stop: Arc<AtomicBool>,
-    ids: Arc<AtomicU64>,
 ) -> io::Result<Vec<JoinHandle<()>>> {
     let epoll = Epoll::new()?;
     let wake = Arc::new(EventFd::new()?);
@@ -345,7 +346,7 @@ pub fn spawn(
         job_tx,
         service: Arc::clone(&service),
         stop,
-        ids,
+        next_id: TOKEN_WAKE + 1,
         conns: BTreeMap::new(),
         stopping: false,
     };
@@ -438,7 +439,8 @@ impl Reactor {
                     // Responses are flushed as they complete; Nagle would
                     // hold small ones back against pipelined clients.
                     let _ = stream.set_nodelay(true);
-                    let id = self.ids.fetch_add(1, Ordering::Relaxed);
+                    let id = self.next_id;
+                    self.next_id += 1;
                     let mask = sys::EPOLLIN | sys::EPOLLRDHUP;
                     if self
                         .epoll

@@ -1,22 +1,5 @@
-//! The TCP front end: bind, pick a reactor, pump persistent connections
-//! through [`Service`].
-//!
-//! [`start`] resolves [`ServeConfig::reactor_mode`] and launches one of
-//! two front ends behind the same [`ServerHandle`]:
-//!
-//! * **epoll** ([`crate::reactor`], Linux only) — one reactor thread
-//!   multiplexes every connection; simulation work runs on the bounded
-//!   worker pool; the reactor never blocks.
-//! * **threads** (this module, portable) — an acceptor feeds a *bounded*
-//!   `sync_channel` of sockets; each worker owns one connection at a
-//!   time and pumps it through a blocking keep-alive loop (pipelining,
-//!   timeouts, and the request cap all still apply). The bounded channel
-//!   is the back-pressure valve: when every worker is busy the acceptor
-//!   blocks and the OS listen backlog absorbs the flood.
-//!
-//! Both modes share the connection-id counter (the request log's `conn=`
-//! column), the graceful-shutdown protocol, and the whole HTTP surface —
-//! the loopback test suite runs identically against either.
+//! The TCP front end: bind, start the epoll reactor ([`crate::reactor`])
+//! and its worker pool, and shut them down gracefully.
 //!
 //! Shutdown is a signal pipe in the dependency-free sense: a
 //! [`ShutdownSignal`] sets the stop flag and opens one loopback
@@ -24,22 +7,15 @@
 //! idle keep-alive connections close promptly, and
 //! [`ServerHandle::join`] reaps every thread.
 
-use crate::config::{ReactorMode, ServeConfig};
-use crate::http::{chunk_frame, RequestParser, Response, CHUNK_END};
+use crate::config::ServeConfig;
 use crate::log::RequestLog;
-use crate::service::{ResponsePart, ResponseSink, Service};
+use crate::service::Service;
 use iobench::BaselineCache;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// How often a blocking worker wakes from `read` to check the stop flag
-/// and the connection's timeouts.
-const POLL_TICK: Duration = Duration::from_millis(250);
 
 /// A cloneable trigger for graceful shutdown, detachable from the
 /// handle so a watcher thread (or a test) can stop the server while
@@ -63,7 +39,6 @@ impl ShutdownSignal {
 /// threads to reap.
 pub struct ServerHandle {
     addr: SocketAddr,
-    mode: ReactorMode,
     service: Arc<Service>,
     signal: ShutdownSignal,
     threads: Vec<JoinHandle<()>>,
@@ -73,11 +48,6 @@ impl ServerHandle {
     /// The address actually bound (resolves `…:0` ephemeral binds).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The front end actually running.
-    pub fn mode(&self) -> ReactorMode {
-        self.mode
     }
 
     /// The shared service (cache stats, config).
@@ -105,8 +75,7 @@ impl ServerHandle {
     }
 }
 
-/// Binds `config.addr`, resolves the reactor mode, and starts the
-/// front-end threads.
+/// Binds `config.addr` and starts the reactor and its worker threads.
 ///
 /// Also installs `config.cache_cap` as the capacity of the process-wide
 /// [`BaselineCache`], so a long-running server bounds *both* memo layers
@@ -115,247 +84,15 @@ pub fn start(config: ServeConfig, log: Box<dyn RequestLog>) -> io::Result<Server
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     BaselineCache::global().set_capacity(config.cache_cap);
-    let mode = config.reactor_mode();
     let service = Arc::new(Service::new(config, log));
     let stop = Arc::new(AtomicBool::new(false));
-    // Connection ids start at 2: the reactor reserves 0 (listener) and
-    // 1 (wake eventfd) as epoll tokens.
-    let ids = Arc::new(AtomicU64::new(2));
-
-    let threads = match mode {
-        #[cfg(target_os = "linux")]
-        ReactorMode::Epoll => crate::reactor::spawn(
-            listener,
-            Arc::clone(&service),
-            Arc::clone(&stop),
-            Arc::clone(&ids),
-        )?,
-        #[cfg(not(target_os = "linux"))]
-        // Unreachable: reactor_mode() never yields Epoll off-Linux.
-        ReactorMode::Epoll => {
-            spawn_thread_pool(listener, Arc::clone(&service), Arc::clone(&stop), ids)
-        }
-        ReactorMode::Threads => {
-            spawn_thread_pool(listener, Arc::clone(&service), Arc::clone(&stop), ids)
-        }
-    };
-
+    let threads = crate::reactor::spawn(listener, Arc::clone(&service), Arc::clone(&stop))?;
     Ok(ServerHandle {
         addr,
-        mode,
         service,
         signal: ShutdownSignal { addr, stop },
         threads,
     })
-}
-
-/// The portable front end: acceptor + bounded hand-off queue + blocking
-/// keep-alive workers.
-fn spawn_thread_pool(
-    listener: TcpListener,
-    service: Arc<Service>,
-    stop: Arc<AtomicBool>,
-    ids: Arc<AtomicU64>,
-) -> Vec<JoinHandle<()>> {
-    let workers = service.config().effective_workers();
-    // Bounded hand-off queue: a small buffer smooths bursts, while a
-    // full queue blocks the acceptor (back-pressure instead of growth).
-    let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(workers.saturating_mul(2).max(1));
-    let rx = Arc::new(Mutex::new(rx));
-
-    let mut handles = Vec::with_capacity(workers + 1);
-    for _ in 0..workers {
-        let rx = Arc::clone(&rx);
-        let service = Arc::clone(&service);
-        let stop = Arc::clone(&stop);
-        let ids = Arc::clone(&ids);
-        handles.push(std::thread::spawn(move || {
-            worker_loop(&rx, &service, &stop, &ids)
-        }));
-    }
-
-    {
-        let stop = Arc::clone(&stop);
-        handles.push(std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                let Ok(stream) = stream else {
-                    // A failed accept (client reset mid-handshake) is the
-                    // client's problem, not a reason to stop serving.
-                    continue;
-                };
-                // Responses are flushed as they complete; Nagle would
-                // hold small ones back against pipelined clients.
-                let _ = stream.set_nodelay(true);
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
-            // Dropping the sender ends every worker's `recv` loop.
-        }));
-    }
-    handles
-}
-
-fn worker_loop(
-    rx: &Mutex<Receiver<TcpStream>>,
-    service: &Service,
-    stop: &AtomicBool,
-    ids: &AtomicU64,
-) {
-    loop {
-        let next = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
-        match next {
-            Ok(stream) => {
-                let id = ids.fetch_add(1, Ordering::Relaxed);
-                serve_connection_blocking(service, stream, id, stop);
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-/// Writes response parts straight to the socket with the right framing —
-/// the blocking transport's [`ResponseSink`].
-struct WireSink<'a> {
-    stream: &'a mut TcpStream,
-    /// `Connection` framing decision for this exchange.
-    close: bool,
-    /// Set on write failure or stream abort: the connection must close
-    /// without further writes.
-    broken: bool,
-}
-
-impl WireSink<'_> {
-    fn write_all(&mut self, bytes: &[u8]) {
-        if self.broken {
-            return;
-        }
-        if write_fully(self.stream, bytes).is_err() {
-            self.broken = true;
-        }
-    }
-}
-
-impl ResponseSink for WireSink<'_> {
-    fn part(&mut self, part: ResponsePart) {
-        match part {
-            ResponsePart::Full(r) => self.write_all(&r.serialize(self.close)),
-            ResponsePart::StreamHead(h) => self.write_all(&h.serialize_chunked_head(self.close)),
-            ResponsePart::StreamChunk(c) => self.write_all(&chunk_frame(&c)),
-            ResponsePart::StreamEnd => self.write_all(CHUNK_END),
-            ResponsePart::StreamAbort(_) => {
-                // The head is on the wire; truncate (no terminal chunk)
-                // so the client sees a short body, never a wrong one.
-                self.broken = true;
-            }
-        }
-    }
-}
-
-/// Retries short writes; the socket's write timeout still bounds each
-/// attempt. (`TcpStream::write` on a blocking socket rarely splits, but
-/// a streamed batch body can exceed the send buffer.)
-fn write_fully(stream: &mut TcpStream, mut bytes: &[u8]) -> io::Result<()> {
-    while !bytes.is_empty() {
-        match stream.write(bytes) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => bytes = &bytes[n..],
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    stream.flush()
-}
-
-/// One persistent connection on a blocking socket: read with a short
-/// timeout, parse pipelined requests, serve them in order, enforce the
-/// idle/header timeouts and the request cap, and honor shutdown.
-fn serve_connection_blocking(service: &Service, mut stream: TcpStream, id: u64, stop: &AtomicBool) {
-    let config = service.config();
-    if stream.set_read_timeout(Some(POLL_TICK)).is_err()
-        || stream
-            .set_write_timeout(Some(Duration::from_secs(60)))
-            .is_err()
-    {
-        return;
-    }
-    let cap = config.request_cap();
-    let idle = config.idle_timeout();
-    let header = config.header_timeout();
-    let mut parser = RequestParser::new(config.max_body);
-    let mut served: usize = 0;
-    let mut last_activity = Instant::now();
-    let mut buf = [0u8; 16 * 1024];
-
-    loop {
-        if stop.load(Ordering::Acquire) && parser.is_between_requests() {
-            // Graceful shutdown: idle keep-alive connections close
-            // promptly; a connection mid-request finishes it below
-            // (the response then carries `Connection: close`).
-            return;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return,
-            Ok(n) => {
-                parser.feed(&buf[..n]);
-                last_activity = Instant::now();
-                loop {
-                    match parser.next_request() {
-                        Ok(Some(parsed)) => {
-                            served += 1;
-                            let close = parsed.close
-                                || cap.is_some_and(|cap| served >= cap)
-                                || stop.load(Ordering::Acquire);
-                            let mut sink = WireSink {
-                                stream: &mut stream,
-                                close,
-                                broken: false,
-                            };
-                            service.handle_into(Some(id), &parsed.request, &mut sink);
-                            let broken = sink.broken;
-                            last_activity = Instant::now();
-                            if broken || close {
-                                return;
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            let response =
-                                service.handle_unparsable(Some(id), e.status(), &e.to_string());
-                            let _ = write_fully(&mut stream, &response.serialize(true));
-                            return;
-                        }
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                let now = Instant::now();
-                let waited = now.saturating_duration_since(last_activity);
-                if parser.is_between_requests() {
-                    if waited >= idle {
-                        return;
-                    }
-                } else if waited >= header {
-                    // Slow loris: dribbling inside a request head/body.
-                    let response = timeout_response(service, id);
-                    let _ = write_fully(&mut stream, &response.serialize(true));
-                    return;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
-fn timeout_response(service: &Service, id: u64) -> Response {
-    let e = crate::http::HttpError::Timeout;
-    service.handle_unparsable(Some(id), e.status(), &e.to_string())
 }
 
 #[cfg(test)]
@@ -364,34 +101,17 @@ mod tests {
     use crate::client;
     use crate::log::BufferLog;
 
-    fn test_config(mode: ReactorMode) -> ServeConfig {
+    fn test_config() -> ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            reactor: Some(mode),
             ..ServeConfig::default()
         }
     }
 
     #[test]
-    fn threads_mode_boots_serves_healthz_and_shuts_down() {
-        let handle = start(
-            test_config(ReactorMode::Threads),
-            Box::new(BufferLog::new()),
-        )
-        .unwrap();
-        assert_eq!(handle.mode(), ReactorMode::Threads);
-        let reply = client::get(handle.addr(), "/healthz").unwrap();
-        assert_eq!(reply.status, 200);
-        assert_eq!(reply.body, b"ok\n");
-        handle.shutdown();
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
     fn epoll_mode_boots_serves_healthz_and_shuts_down() {
-        let handle = start(test_config(ReactorMode::Epoll), Box::new(BufferLog::new())).unwrap();
-        assert_eq!(handle.mode(), ReactorMode::Epoll);
+        let handle = start(test_config(), Box::new(BufferLog::new())).unwrap();
         let reply = client::get(handle.addr(), "/healthz").unwrap();
         assert_eq!(reply.status, 200);
         assert_eq!(reply.body, b"ok\n");
@@ -400,11 +120,7 @@ mod tests {
 
     #[test]
     fn shutdown_signal_works_from_another_thread() {
-        let handle = start(
-            test_config(ReactorMode::Threads),
-            Box::new(BufferLog::new()),
-        )
-        .unwrap();
+        let handle = start(test_config(), Box::new(BufferLog::new())).unwrap();
         let signal = handle.signal();
         let trigger = std::thread::spawn(move || signal.trigger());
         handle.join();

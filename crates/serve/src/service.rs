@@ -7,8 +7,7 @@
 //! body as shard results complete. Keeping the core free of sockets
 //! means the whole endpoint surface (routing, validation, error mapping,
 //! caching, ETags, streaming decisions) is unit-testable without binding
-//! a port; the transports in [`crate::server`] and [`crate::reactor`]
-//! are pumps around it.
+//! a port; the reactor ([`crate::reactor`]) is a pump around it.
 //!
 //! ## Statelessness and determinism
 //!
@@ -81,8 +80,8 @@ pub enum ResponsePart {
 }
 
 /// Where [`Service::handle_into`] pushes response parts. Implemented by
-/// the transports (socket writers, the reactor's completion queue) and
-/// by [`CollectSink`] for tests and the materialized [`Service::handle`].
+/// the reactor's completion queue and by [`CollectSink`] for tests and
+/// the materialized [`Service::handle`].
 pub trait ResponseSink {
     /// Receives the next part, in order.
     fn part(&mut self, part: ResponsePart);
@@ -242,7 +241,7 @@ impl Service {
     }
 
     /// Handles one parsed request, pushing response parts into `sink`
-    /// as they become available, and logs it. This is the transports'
+    /// as they become available, and logs it. This is the reactor's
     /// entry point — a `/v1/batch` past the streaming threshold emits
     /// chunks while later shards are still simulating.
     pub fn handle_into(&self, conn: Option<u64>, request: &Request, sink: &mut dyn ResponseSink) {
@@ -359,7 +358,7 @@ impl Service {
     }
 
     /// Builds and logs the response for a request that could not even be
-    /// parsed off the wire (the transports call this on
+    /// parsed off the wire (the reactor calls this on
     /// [`crate::http::HttpError`]). Such a response always closes the
     /// connection — the byte stream can no longer be framed.
     pub fn handle_unparsable(&self, conn: Option<u64>, status: u16, message: &str) -> Response {

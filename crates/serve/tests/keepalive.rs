@@ -1,32 +1,21 @@
-//! Persistent-connection integration tests, run against **both** front
-//! ends (epoll reactor and the portable threads fallback): pipelining
-//! order and byte-identity, the requests-per-connection cap, idle and
-//! slow-loris timeouts, keep-alive reuse visible in the request log,
-//! streamed `/v1/batch` bodies, and graceful shutdown with persistent
-//! connections open.
+//! Persistent-connection integration tests of the epoll reactor:
+//! pipelining order and byte-identity, the requests-per-connection cap,
+//! idle and slow-loris timeouts, keep-alive reuse visible in the request
+//! log, streamed `/v1/batch` bodies, and graceful shutdown with
+//! persistent connections open.
 
 use calciom::{AccessPattern, AppConfig, AppId, PfsConfig, Scenario};
 use serve::client::{self, Conn};
-use serve::{start, BufferLog, ReactorMode, RequestLog, RequestRecord, ServeConfig, ServerHandle};
+use serve::{start, BufferLog, RequestLog, RequestRecord, ServeConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Both front ends must pass every test identically.
-fn modes() -> Vec<ReactorMode> {
-    if cfg!(target_os = "linux") {
-        vec![ReactorMode::Epoll, ReactorMode::Threads]
-    } else {
-        vec![ReactorMode::Threads]
-    }
-}
-
-fn config(mode: ReactorMode) -> ServeConfig {
+fn config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 4,
-        reactor: Some(mode),
         ..ServeConfig::default()
     }
 }
@@ -66,301 +55,275 @@ fn scenario_text() -> String {
 
 #[test]
 fn pipelined_responses_are_in_order_and_byte_identical_to_sequential() {
-    for mode in modes() {
-        let (handle, _) = boot(config(mode));
-        let addr = handle.addr();
-        let scenario = scenario_text();
+    let (handle, _) = boot(config());
+    let addr = handle.addr();
+    let scenario = scenario_text();
 
-        // The exchanges, as (method, target, body). A mix of cheap and
-        // simulated endpoints so responses complete at different speeds —
-        // ordering must hold anyway.
-        let exchanges: Vec<(&str, String, Vec<u8>)> = vec![
-            ("POST", "/v1/run".into(), scenario.clone().into_bytes()),
-            ("GET", "/v1/policies".into(), Vec::new()),
-            (
-                "POST",
-                "/v1/run?policy=srpf".into(),
-                scenario.clone().into_bytes(),
-            ),
-            ("GET", "/healthz".into(), Vec::new()),
-            ("POST", "/v1/timeline".into(), scenario.clone().into_bytes()),
-        ];
+    // The exchanges, as (method, target, body). A mix of cheap and
+    // simulated endpoints so responses complete at different speeds —
+    // ordering must hold anyway.
+    let exchanges: Vec<(&str, String, Vec<u8>)> = vec![
+        ("POST", "/v1/run".into(), scenario.clone().into_bytes()),
+        ("GET", "/v1/policies".into(), Vec::new()),
+        (
+            "POST",
+            "/v1/run?policy=srpf".into(),
+            scenario.clone().into_bytes(),
+        ),
+        ("GET", "/healthz".into(), Vec::new()),
+        ("POST", "/v1/timeline".into(), scenario.clone().into_bytes()),
+    ];
 
-        // Sequential ground truth: one-shot connections.
-        let sequential: Vec<_> = exchanges
-            .iter()
-            .map(|(method, target, body)| {
-                client::request(addr, method, target, &[], body).expect("sequential exchange")
-            })
-            .collect();
+    // Sequential ground truth: one-shot connections.
+    let sequential: Vec<_> = exchanges
+        .iter()
+        .map(|(method, target, body)| {
+            client::request(addr, method, target, &[], body).expect("sequential exchange")
+        })
+        .collect();
 
-        // Pipeline all five onto one connection before reading anything.
-        let mut conn = Conn::connect(addr).unwrap();
-        for (method, target, body) in &exchanges {
-            conn.send(method, target, &[], body)
-                .expect("pipelined send");
-        }
-        for (i, expected) in sequential.iter().enumerate() {
-            let reply = conn.recv().expect("pipelined recv");
-            assert_eq!(reply.status, expected.status, "{mode:?} response {i}");
-            assert_eq!(
-                reply.body, expected.body,
-                "{mode:?} response {i} must be byte-identical to its sequential twin"
-            );
-            assert!(!reply.closes(), "{mode:?} keep-alive holds: response {i}");
-        }
-        handle.shutdown();
+    // Pipeline all five onto one connection before reading anything.
+    let mut conn = Conn::connect(addr).unwrap();
+    for (method, target, body) in &exchanges {
+        conn.send(method, target, &[], body)
+            .expect("pipelined send");
     }
+    for (i, expected) in sequential.iter().enumerate() {
+        let reply = conn.recv().expect("pipelined recv");
+        assert_eq!(reply.status, expected.status, "response {i}");
+        assert_eq!(
+            reply.body, expected.body,
+            "response {i} must be byte-identical to its sequential twin"
+        );
+        assert!(!reply.closes(), "keep-alive holds: response {i}");
+    }
+    handle.shutdown();
 }
 
 #[test]
 fn request_cap_answers_exactly_cap_requests_then_closes() {
-    for mode in modes() {
-        let (handle, _) = boot(ServeConfig {
-            max_requests_per_conn: 3,
-            ..config(mode)
-        });
-        let mut conn = Conn::connect(handle.addr()).unwrap();
-        // Burst five pipelined requests past the cap of three.
-        for _ in 0..5 {
-            conn.send("GET", "/healthz", &[], &[]).unwrap();
-        }
-        for i in 0..3 {
-            let reply = conn.recv().expect("capped responses still arrive");
-            assert_eq!(reply.status, 200);
-            if i < 2 {
-                assert!(!reply.closes(), "{mode:?}: response {i} keeps alive");
-            } else {
-                assert!(
-                    reply.closes(),
-                    "{mode:?}: the cap-th response must say Connection: close"
-                );
-            }
-        }
-        // Requests four and five were never answered: the connection is
-        // closed, not serving past the cap.
-        assert!(
-            conn.recv().is_err(),
-            "{mode:?}: no responses beyond the cap"
-        );
-        handle.shutdown();
+    let (handle, _) = boot(ServeConfig {
+        max_requests_per_conn: 3,
+        ..config()
+    });
+    let mut conn = Conn::connect(handle.addr()).unwrap();
+    // Burst five pipelined requests past the cap of three.
+    for _ in 0..5 {
+        conn.send("GET", "/healthz", &[], &[]).unwrap();
     }
+    for i in 0..3 {
+        let reply = conn.recv().expect("capped responses still arrive");
+        assert_eq!(reply.status, 200);
+        if i < 2 {
+            assert!(!reply.closes(), "response {i} keeps alive");
+        } else {
+            assert!(
+                reply.closes(),
+                "the cap-th response must say Connection: close"
+            );
+        }
+    }
+    // Requests four and five were never answered: the connection is
+    // closed, not serving past the cap.
+    assert!(conn.recv().is_err(), "no responses beyond the cap");
+    handle.shutdown();
 }
 
 #[test]
 fn keep_alive_reuse_shows_one_conn_id_in_the_request_log() {
-    for mode in modes() {
-        let (handle, log) = boot(config(mode));
-        let addr = handle.addr();
+    let (handle, log) = boot(config());
+    let addr = handle.addr();
 
-        let mut conn = Conn::connect(addr).unwrap();
-        for _ in 0..3 {
-            assert_eq!(
-                conn.request("GET", "/v1/policies", &[], &[])
-                    .unwrap()
-                    .status,
-                200
-            );
-        }
-        let other = client::get(addr, "/v1/policies").unwrap();
-        assert_eq!(other.status, 200);
-
-        // The server records a request *after* the response bytes go
-        // out, so the client can race ahead of the log — poll briefly
-        // for the last record instead of asserting instantly.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let ids: Vec<Option<u64>> = loop {
-            let ids: Vec<Option<u64>> = log
-                .records()
-                .iter()
-                .filter(|r| r.path == "/v1/policies")
-                .map(|r| r.conn)
-                .collect();
-            if ids.len() >= 4 || Instant::now() >= deadline {
-                break ids;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        };
-        assert_eq!(ids.len(), 4, "{mode:?}: four logged requests");
-        assert!(
-            ids[0].is_some(),
-            "{mode:?}: socket requests carry a conn id"
+    let mut conn = Conn::connect(addr).unwrap();
+    for _ in 0..3 {
+        assert_eq!(
+            conn.request("GET", "/v1/policies", &[], &[])
+                .unwrap()
+                .status,
+            200
         );
-        assert_eq!(ids[0], ids[1], "{mode:?}: reused connection, same id");
-        assert_eq!(ids[1], ids[2], "{mode:?}: reused connection, same id");
-        assert_ne!(ids[3], ids[0], "{mode:?}: fresh connection, fresh id");
-        handle.shutdown();
     }
+    let other = client::get(addr, "/v1/policies").unwrap();
+    assert_eq!(other.status, 200);
+
+    // The server records a request *after* the response bytes go
+    // out, so the client can race ahead of the log — poll briefly
+    // for the last record instead of asserting instantly.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let ids: Vec<Option<u64>> = loop {
+        let ids: Vec<Option<u64>> = log
+            .records()
+            .iter()
+            .filter(|r| r.path == "/v1/policies")
+            .map(|r| r.conn)
+            .collect();
+        if ids.len() >= 4 || Instant::now() >= deadline {
+            break ids;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(ids.len(), 4, "four logged requests");
+    assert!(ids[0].is_some(), "socket requests carry a conn id");
+    assert_eq!(ids[0], ids[1], "reused connection, same id");
+    assert_eq!(ids[1], ids[2], "reused connection, same id");
+    assert_ne!(ids[3], ids[0], "fresh connection, fresh id");
+    handle.shutdown();
 }
 
 #[test]
 fn slow_loris_gets_a_408_without_occupying_a_simulation_worker() {
-    for mode in modes() {
-        // One worker: if the dribbling connection occupied it, the
-        // companion request could not complete.
-        let (handle, _) = boot(ServeConfig {
-            workers: 1,
-            header_timeout_ms: 600,
-            idle_timeout_ms: 400,
-            ..config(mode)
-        });
-        let addr = handle.addr();
+    // One worker: if the dribbling connection occupied it, the
+    // companion request could not complete.
+    let (handle, _) = boot(ServeConfig {
+        workers: 1,
+        header_timeout_ms: 600,
+        idle_timeout_ms: 400,
+        ..config()
+    });
+    let addr = handle.addr();
 
-        // The attacker: half a request head, then silence.
-        let mut loris = TcpStream::connect(addr).unwrap();
-        loris
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        loris.write_all(b"GET /heal").unwrap();
+    // The attacker: half a request head, then silence.
+    let mut loris = TcpStream::connect(addr).unwrap();
+    loris
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    loris.write_all(b"GET /heal").unwrap();
 
-        if mode == ReactorMode::Epoll {
-            // The reactor parks the dribbler without a worker: a real
-            // request on the single worker completes while the loris
-            // still dribbles.
-            let started = Instant::now();
-            let reply = client::post(addr, "/v1/run", scenario_text().as_bytes()).unwrap();
-            assert_eq!(reply.status, 200, "{}", reply.text());
-            assert!(
-                started.elapsed() < Duration::from_secs(20),
-                "companion request must not wait behind the slow loris"
-            );
-        }
+    // The reactor parks the dribbler without a worker: a real request
+    // on the single worker completes while the loris still dribbles.
+    let started = Instant::now();
+    let reply = client::post(addr, "/v1/run", scenario_text().as_bytes()).unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.text());
+    assert!(
+        started.elapsed() < Duration::from_secs(20),
+        "companion request must not wait behind the slow loris"
+    );
 
-        // The dribbler itself gets a structured 408 and a close.
-        let mut raw = Vec::new();
-        loris.read_to_end(&mut raw).unwrap();
-        let text = String::from_utf8_lossy(&raw);
-        assert!(
-            text.starts_with("HTTP/1.1 408 "),
-            "{mode:?}: expected 408, got: {text}"
-        );
-        assert!(text.contains("connection: close"), "{mode:?}: {text}");
-        handle.shutdown();
-    }
+    // The dribbler itself gets a structured 408 and a close.
+    let mut raw = Vec::new();
+    loris.read_to_end(&mut raw).unwrap();
+    let text = String::from_utf8_lossy(&raw);
+    assert!(
+        text.starts_with("HTTP/1.1 408 "),
+        "expected 408, got: {text}"
+    );
+    assert!(text.contains("connection: close"), "{text}");
+    handle.shutdown();
 }
 
 #[test]
 fn idle_keep_alive_connections_are_closed_after_the_idle_timeout() {
-    for mode in modes() {
-        let (handle, _) = boot(ServeConfig {
-            idle_timeout_ms: 300,
-            header_timeout_ms: 600,
-            ..config(mode)
-        });
-        let mut conn = Conn::connect(handle.addr()).unwrap();
-        assert_eq!(
-            conn.request("GET", "/healthz", &[], &[]).unwrap().status,
-            200
-        );
-        // Sit idle past the timeout: the server closes (EOF), without
-        // sending anything — an idle close is not an error response.
-        let err = conn.recv().expect_err("server closes the idle connection");
-        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{mode:?}");
-        handle.shutdown();
-    }
+    let (handle, _) = boot(ServeConfig {
+        idle_timeout_ms: 300,
+        header_timeout_ms: 600,
+        ..config()
+    });
+    let mut conn = Conn::connect(handle.addr()).unwrap();
+    assert_eq!(
+        conn.request("GET", "/healthz", &[], &[]).unwrap().status,
+        200
+    );
+    // Sit idle past the timeout: the server closes (EOF), without
+    // sending anything — an idle close is not an error response.
+    let err = conn.recv().expect_err("server closes the idle connection");
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    handle.shutdown();
 }
 
 #[test]
 fn streamed_batch_is_chunked_and_byte_identical_to_materialized() {
-    for mode in modes() {
-        let (handle, _) = boot(config(mode));
-        let mut conn = Conn::connect(handle.addr()).unwrap();
-        let docs = format!("{}{}", scenario_text(), scenario_text());
+    let (handle, _) = boot(config());
+    let mut conn = Conn::connect(handle.addr()).unwrap();
+    let docs = format!("{}{}", scenario_text(), scenario_text());
 
-        let materialized = conn
-            .request("POST", "/v1/batch?shards=2&stream=0", &[], docs.as_bytes())
-            .unwrap();
-        assert_eq!(materialized.status, 200, "{}", materialized.text());
-        assert!(!materialized.chunked());
+    let materialized = conn
+        .request("POST", "/v1/batch?shards=2&stream=0", &[], docs.as_bytes())
+        .unwrap();
+    assert_eq!(materialized.status, 200, "{}", materialized.text());
+    assert!(!materialized.chunked());
 
-        // stream=1 skips the response cache only on a cold key, so vary
-        // shards… no: same scenario, but the cached entry would be
-        // served materialized. Use a distinct scenario set instead.
-        let fresh_docs = format!("{docs}{}", scenario_text());
-        let materialized = conn
-            .request(
-                "POST",
-                "/v1/batch?shards=2&stream=0",
-                &[],
-                fresh_docs.as_bytes(),
-            )
-            .unwrap();
-        // A different server, same config, so the streamed run is cold.
-        let (cold, _) = boot(config(mode));
-        let mut cold_conn = Conn::connect(cold.addr()).unwrap();
-        let streamed = cold_conn
-            .request(
-                "POST",
-                "/v1/batch?shards=2&stream=1",
-                &[],
-                fresh_docs.as_bytes(),
-            )
-            .unwrap();
-        assert_eq!(streamed.status, 200);
-        assert!(
-            streamed.chunked(),
-            "{mode:?}: a cold stream=1 batch must use chunked framing"
-        );
-        assert_eq!(
-            streamed.body, materialized.body,
-            "{mode:?}: de-chunked stream must equal the materialized body"
-        );
-        // The connection survives the stream: keep-alive framing held.
-        assert_eq!(
-            cold_conn
-                .request("GET", "/healthz", &[], &[])
-                .unwrap()
-                .status,
-            200,
-            "{mode:?}: connection usable after a streamed response"
-        );
-        cold.shutdown();
-        handle.shutdown();
-    }
+    // stream=1 skips the response cache only on a cold key, so vary
+    // shards… no: same scenario, but the cached entry would be
+    // served materialized. Use a distinct scenario set instead.
+    let fresh_docs = format!("{docs}{}", scenario_text());
+    let materialized = conn
+        .request(
+            "POST",
+            "/v1/batch?shards=2&stream=0",
+            &[],
+            fresh_docs.as_bytes(),
+        )
+        .unwrap();
+    // A different server, same config, so the streamed run is cold.
+    let (cold, _) = boot(config());
+    let mut cold_conn = Conn::connect(cold.addr()).unwrap();
+    let streamed = cold_conn
+        .request(
+            "POST",
+            "/v1/batch?shards=2&stream=1",
+            &[],
+            fresh_docs.as_bytes(),
+        )
+        .unwrap();
+    assert_eq!(streamed.status, 200);
+    assert!(
+        streamed.chunked(),
+        "a cold stream=1 batch must use chunked framing"
+    );
+    assert_eq!(
+        streamed.body, materialized.body,
+        "de-chunked stream must equal the materialized body"
+    );
+    // The connection survives the stream: keep-alive framing held.
+    assert_eq!(
+        cold_conn
+            .request("GET", "/healthz", &[], &[])
+            .unwrap()
+            .status,
+        200,
+        "connection usable after a streamed response"
+    );
+    cold.shutdown();
+    handle.shutdown();
 }
 
 #[test]
 fn graceful_shutdown_completes_in_flight_and_closes_idle_connections() {
-    for mode in modes() {
-        let (handle, _) = boot(config(mode));
-        let addr = handle.addr();
+    let (handle, _) = boot(config());
+    let addr = handle.addr();
 
-        // An idle keep-alive connection…
-        let mut idle = Conn::connect(addr).unwrap();
-        assert_eq!(
-            idle.request("GET", "/healthz", &[], &[]).unwrap().status,
-            200
-        );
+    // An idle keep-alive connection…
+    let mut idle = Conn::connect(addr).unwrap();
+    assert_eq!(
+        idle.request("GET", "/healthz", &[], &[]).unwrap().status,
+        200
+    );
 
-        // …and a connection with a slow request in flight (a 20-document
-        // batch on one shard takes long enough to still be running when
-        // the signal lands).
-        let docs: String = (0..20).map(|_| scenario_text()).collect();
-        let mut busy = Conn::connect(addr).unwrap();
-        busy.send("POST", "/v1/batch?shards=1&stream=0", &[], docs.as_bytes())
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(50));
+    // …and a connection with a slow request in flight (a 20-document
+    // batch on one shard takes long enough to still be running when
+    // the signal lands).
+    let docs: String = (0..20).map(|_| scenario_text()).collect();
+    let mut busy = Conn::connect(addr).unwrap();
+    busy.send("POST", "/v1/batch?shards=1&stream=0", &[], docs.as_bytes())
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(50));
 
-        let started = Instant::now();
-        let signal = handle.signal();
-        signal.trigger();
+    let started = Instant::now();
+    let signal = handle.signal();
+    signal.trigger();
 
-        // The in-flight batch completes…
-        let reply = busy
-            .recv()
-            .expect("in-flight request completes on shutdown");
-        assert_eq!(reply.status, 200, "{mode:?}: {}", reply.text());
-        // …then its connection closes, as does the idle one, promptly.
-        assert!(
-            busy.recv().is_err(),
-            "{mode:?}: busy conn closed after reply"
-        );
-        assert!(idle.recv().is_err(), "{mode:?}: idle conn closed promptly");
+    // The in-flight batch completes…
+    let reply = busy
+        .recv()
+        .expect("in-flight request completes on shutdown");
+    assert_eq!(reply.status, 200, "{}", reply.text());
+    // …then its connection closes, as does the idle one, promptly.
+    assert!(busy.recv().is_err(), "busy conn closed after reply");
+    assert!(idle.recv().is_err(), "idle conn closed promptly");
 
-        handle.join();
-        assert!(
-            started.elapsed() < Duration::from_secs(8),
-            "{mode:?}: shutdown must not hang on persistent connections"
-        );
-    }
+    handle.join();
+    assert!(
+        started.elapsed() < Duration::from_secs(8),
+        "shutdown must not hang on persistent connections"
+    );
 }
