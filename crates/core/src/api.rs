@@ -22,8 +22,8 @@
 //!
 //! * [`LocalTransport`] — `Rc<RefCell<Arbiter>>`, zero-overhead for
 //!   single-threaded drivers (the default of [`Session`](crate::Session));
-//! * [`SharedTransport`] — `Arc<Mutex<Arbiter>>`, `Send + Sync`, so whole
-//!   sessions can be fanned out across threads (the `iobench` sweeps).
+//! * [`SharedTransport`] — `Arc<Mutex<Arbiter>>`, `Send + Sync`, for
+//!   coordinators shared between threads.
 //!
 //! [`Session`](crate::Session) uses exactly this code path internally; the
 //! standalone `Coordinator` exists so that library users can embed CALCioM
@@ -162,7 +162,7 @@ impl CoordinationTransport for LocalTransport {
 }
 
 /// Thread-safe transport (`Arc<Mutex<Arbiter>>`): `Send + Sync`, so
-/// coordinators and sessions built on it can move across threads.
+/// coordinators (and sessions) built on it can move across threads.
 #[derive(Debug, Clone)]
 pub struct SharedTransport {
     inner: Arc<Mutex<Arbiter>>,

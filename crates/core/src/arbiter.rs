@@ -55,9 +55,6 @@ macro_rules! view {
 pub struct Arbiter {
     /// The pluggable decision maker.
     policy: Box<dyn ArbitrationPolicy>,
-    /// The legacy strategy this arbiter was constructed from, when it was
-    /// ([`Arbiter::new`]); `None` for free-form policies.
-    strategy: Option<Strategy>,
     /// Applications currently allowed to access the file system.
     active: BTreeSet<AppId>,
     /// Parked applications in arrival order, with the reason they parked.
@@ -81,9 +78,7 @@ impl Arbiter {
     /// cost model and is only consulted when the strategy is
     /// [`Strategy::Dynamic`].
     pub fn new(strategy: Strategy, policy: DynamicPolicy) -> Self {
-        let mut arbiter = Arbiter::with_policy(builtin_policy(strategy, policy));
-        arbiter.strategy = Some(strategy);
-        arbiter
+        Arbiter::with_policy(builtin_policy(strategy, policy))
     }
 
     /// Creates an arbiter driven by an arbitrary [`ArbitrationPolicy`] —
@@ -91,7 +86,6 @@ impl Arbiter {
     pub fn with_policy(policy: Box<dyn ArbitrationPolicy>) -> Self {
         Arbiter {
             policy,
-            strategy: None,
             active: BTreeSet::new(),
             parked: ParkedQueue::default(),
             interrupt_requested: BTreeSet::new(),
@@ -99,12 +93,6 @@ impl Arbiter {
             messages: 0,
             now: SimTime::ZERO,
         }
-    }
-
-    /// The legacy strategy in force, when the arbiter was built from one;
-    /// `None` for free-form policies.
-    pub fn strategy(&self) -> Option<Strategy> {
-        self.strategy
     }
 
     /// Display label of the installed policy (e.g. `fcfs`, `delay(30s)`,
@@ -891,11 +879,6 @@ mod tests {
         assert_eq!(arb.yield_point(AppId(0)), copy.yield_point(AppId(0)));
         assert_eq!(arb.active(), copy.active());
         assert_eq!(arb.policy_label(), "rr(1s)");
-        assert_eq!(arb.strategy(), None);
-        assert_eq!(
-            arbiter(Strategy::FcfsSerialize).strategy(),
-            Some(Strategy::FcfsSerialize)
-        );
     }
 
     #[test]

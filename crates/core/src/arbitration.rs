@@ -1131,7 +1131,10 @@ mod tests {
         ] {
             let policy = builtin_policy(strategy, dynamic);
             assert_eq!(policy.spec().name, name);
-            assert_eq!(policy.needs_coordination(), strategy.needs_coordination());
+            assert_eq!(
+                policy.needs_coordination(),
+                !matches!(strategy, Strategy::Interfere)
+            );
             assert_eq!(policy.label(), strategy.label());
         }
         assert_eq!(

@@ -545,9 +545,9 @@ impl ClusterState {
 ///
 /// Built from a [`Scenario`] carrying a [`ClusterSpec`]
 /// (`Session::<ClusterTransport>::with_transport`, or simply
-/// [`Scenario::run`] which dispatches here automatically). `Send + Sync`
-/// like [`SharedTransport`](crate::SharedTransport), so cluster sessions
-/// fan out across the `iobench` shards unchanged.
+/// [`Scenario::run_with`] which dispatches here automatically). A shared
+/// handle: a clone taken before the session executes reads the tree's
+/// [`ClusterStats`] afterwards.
 #[derive(Debug, Clone)]
 pub struct ClusterTransport {
     inner: Arc<Mutex<ClusterState>>,
@@ -566,8 +566,8 @@ impl ClusterTransport {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, ClusterState> {
-        // Like SharedTransport: the state is a plain state machine, so a
-        // poisoned lock is still usable.
+        // The state is a plain state machine, so a poisoned lock is
+        // still usable.
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 

@@ -2,10 +2,11 @@
 //!
 //! A [`Scenario`] is the complete, self-contained description of one
 //! simulated experiment: the shared file system, the applications, the
-//! coordination strategy/granularity/policy, and the overheads. It is the
-//! input of [`Session::run`](crate::Session::run), the unit the `iobench`
-//! sweeps fan out across threads, and the thing the experiment registry
-//! stores — one description type shared by every reproduced figure.
+//! coordination strategy/granularity/policy, and the overheads. It runs
+//! itself ([`Scenario::run_with`] picks the flat or the hierarchical
+//! coordination transport), it is the unit the `iobench` sweeps fan out
+//! across threads, and it is the thing the experiment registry stores —
+//! one description type shared by every reproduced figure.
 //!
 //! Scenarios are built fluently with [`ScenarioBuilder`] and round-trip
 //! through a plain-text `key = value` encoding ([`Scenario::to_text`] /
@@ -14,10 +15,12 @@
 //! [`SessionReport`] bit for bit — the property the
 //! top-level round-trip tests assert.
 
+use crate::api::LocalTransport;
 use crate::arbitration::{PolicyRegistry, PolicySpec};
-use crate::cluster::ClusterSpec;
+use crate::cluster::{ClusterSpec, ClusterStats, ClusterTransport};
 use crate::error::{ConfigError, Error, ScenarioParseError};
 use crate::metrics::EfficiencyMetric;
+use crate::observe::{NullObserver, SimObserver};
 use crate::policy::DynamicPolicy;
 use crate::session::{Session, SessionReport};
 use crate::strategy::Strategy;
@@ -51,8 +54,7 @@ pub struct Scenario {
     /// [`SharingModel::FairFast`] is the `O(log n)` virtual-time model.
     pub medium: SharingModel,
     /// Hierarchical multi-machine topology: per-machine leaf arbiters
-    /// under a slot-owning root (see
-    /// [`ClusterTransport`](crate::ClusterTransport)). `None` (the
+    /// under a slot-owning root (see [`ClusterTransport`]). `None` (the
     /// default, and what every legacy scenario decodes to) runs the flat,
     /// single-arbiter code path.
     pub cluster: Option<ClusterSpec>,
@@ -157,31 +159,34 @@ impl Scenario {
         Ok(())
     }
 
-    /// Runs the scenario to completion on the in-process
-    /// [`LocalTransport`](crate::LocalTransport) — or, when the scenario
-    /// carries a [`ClusterSpec`], on the hierarchical
-    /// [`ClusterTransport`](crate::ClusterTransport) (flat transports
-    /// reject cluster topologies rather than silently ignoring them).
+    /// Runs the scenario to completion, unobserved: [`Scenario::run_with`]
+    /// without the observer or the arbiter tree's message accounting.
     pub fn run(&self) -> Result<SessionReport, Error> {
-        if self.cluster.is_some() {
-            Session::<crate::ClusterTransport>::with_transport(self)?.execute()
-        } else {
-            Session::run(self)
-        }
+        self.run_with(&mut NullObserver).map(|(report, _)| report)
     }
 
-    /// Runs the scenario on the thread-safe
-    /// [`SharedTransport`](crate::SharedTransport) (or the equally
-    /// thread-safe [`ClusterTransport`](crate::ClusterTransport) when a
-    /// cluster topology is present). The simulation is deterministic, so
-    /// the report is identical to [`Scenario::run`]'s; this entry point
-    /// exists so that whole sessions can be built once and executed on
-    /// worker threads (see `iobench::parallel`).
-    pub fn run_shared(&self) -> Result<SessionReport, Error> {
+    /// Runs the scenario to completion, streaming every
+    /// [`SimEvent`](crate::SimEvent) to `observer` — the one place that
+    /// picks the coordination transport. Flat scenarios run on the
+    /// in-process [`LocalTransport`]; scenarios carrying a
+    /// [`ClusterSpec`] run on the hierarchical [`ClusterTransport`], whose
+    /// message accounting comes back as the [`ClusterStats`] (`None` for
+    /// flat runs). The session is built and executed on the calling
+    /// thread.
+    pub fn run_with<O: SimObserver>(
+        &self,
+        observer: &mut O,
+    ) -> Result<(SessionReport, Option<ClusterStats>), Error> {
         if self.cluster.is_some() {
-            Session::<crate::ClusterTransport>::with_transport(self)?.execute()
+            let session = Session::<ClusterTransport>::with_transport(self)?;
+            // Transports are shared handles: this clone outlives the
+            // session `execute_with` consumes, so the stats survive it.
+            let tree = session.transport().clone();
+            let report = session.execute_with(observer)?;
+            Ok((report, Some(tree.stats())))
         } else {
-            Session::<crate::SharedTransport>::with_transport(self)?.execute()
+            let report = Session::<LocalTransport>::with_transport(self)?.execute_with(observer)?;
+            Ok((report, None))
         }
     }
 
@@ -520,9 +525,8 @@ impl ScenarioBuilder {
 
     /// Places the applications on a hierarchical multi-machine topology:
     /// one leaf arbiter per machine under a slot-owning root, with
-    /// modeled cross-arbiter message latency (see
-    /// [`ClusterTransport`](crate::ClusterTransport)). The topology is
-    /// validated against the application list at
+    /// modeled cross-arbiter message latency (see [`ClusterTransport`]).
+    /// The topology is validated against the application list at
     /// [`ScenarioBuilder::build`] time.
     pub fn cluster(mut self, spec: ClusterSpec) -> Self {
         self.scenario.cluster = Some(spec);

@@ -19,10 +19,11 @@
 //! handlers; nothing outside the kernel advances time.
 //!
 //! The session reaches the shared [`Arbiter`] through a
-//! [`CoordinationTransport`]: [`LocalTransport`] (the default) for
-//! single-threaded drivers, [`SharedTransport`](crate::SharedTransport)
-//! when sessions are built on one thread and executed on another (the
-//! `iobench` parallel sweeps). The simulation itself is deterministic —
+//! [`CoordinationTransport`]: [`LocalTransport`] (the default) for flat
+//! scenarios, [`ClusterTransport`](crate::ClusterTransport) for scenarios
+//! carrying an arbiter tree — [`Scenario::run_with`] picks between the
+//! two, and parallel drivers (the `iobench` sweeps) call it on the thread
+//! that runs each session. The simulation itself is deterministic —
 //! integer-tick clock, no randomness — so the transport never changes the
 //! report.
 //!
@@ -297,9 +298,9 @@ impl AppRuntime {
 
 /// The coupled simulator, generic over how it reaches the arbiter.
 ///
-/// `Session<SharedTransport>` is `Send`, so fully-built sessions can be
-/// handed to worker threads; `Session<LocalTransport>` (the default) stays
-/// on its creating thread and avoids the lock.
+/// `Session<LocalTransport>` (the default) stays on its creating thread
+/// and avoids the lock; [`Scenario::run_with`] builds the right session
+/// for a scenario on the thread that executes it.
 pub struct Session<T: CoordinationTransport = LocalTransport> {
     cfg: Scenario,
     transport: T,
@@ -341,19 +342,15 @@ impl Session<LocalTransport> {
 
 impl<T: CoordinationTransport> Session<T> {
     /// Builds a session from a validated scenario on an explicit transport
-    /// type (e.g. [`SharedTransport`](crate::SharedTransport) for sessions
-    /// that cross threads).
+    /// type (e.g. [`ClusterTransport`](crate::ClusterTransport) for an
+    /// arbiter tree).
     pub fn with_transport(scenario: &Scenario) -> Result<Self, Error> {
         scenario.validate_workload()?;
         let cfg = scenario.clone();
         let pfs = Pfs::with_medium(cfg.pfs.clone(), cfg.medium)?;
-        // The one policy resolution of this session: legacy strategies
-        // keep the `Arbiter::new` shim (which records the strategy),
-        // named policies install what `build_policy` resolves.
-        let arbiter = match &cfg.arbitration {
-            None => Arbiter::new(cfg.strategy, cfg.policy),
-            Some(_) => Arbiter::with_policy(cfg.build_policy()?),
-        };
+        // The one policy resolution of this session, for legacy
+        // strategies and named policies alike.
+        let arbiter = Arbiter::with_policy(cfg.build_policy()?);
         let transport = T::for_scenario(&cfg, arbiter)?;
         let mut kernel = Kernel::new(pfs);
         let mut apps = BTreeMap::new();
@@ -1330,7 +1327,10 @@ mod tests {
             .build()
             .unwrap();
         let local = scenario.run().unwrap();
-        let shared = scenario.run_shared().unwrap();
+        let shared = Session::<SharedTransport>::with_transport(&scenario)
+            .unwrap()
+            .execute()
+            .unwrap();
         assert_eq!(local, shared);
         // And a Session<SharedTransport> built here survives being moved
         // to another thread before executing.

@@ -61,12 +61,6 @@ impl Strategy {
             Strategy::Dynamic => PolicySpec::new("calciom-dynamic"),
         }
     }
-
-    /// Whether this strategy requires cross-application coordination (i.e.
-    /// is only available through CALCioM).
-    pub fn needs_coordination(&self) -> bool {
-        !matches!(self, Strategy::Interfere)
-    }
 }
 
 /// What the arbiter tells an application that asked for access.
@@ -129,14 +123,5 @@ mod tests {
         // Parameterless labels stay exactly what figures always printed.
         assert_eq!(Strategy::Interfere.label(), "interfering");
         assert_eq!(Strategy::Dynamic.label(), "calciom-dynamic");
-    }
-
-    #[test]
-    fn coordination_requirement() {
-        assert!(!Strategy::Interfere.needs_coordination());
-        assert!(Strategy::FcfsSerialize.needs_coordination());
-        assert!(Strategy::Interrupt.needs_coordination());
-        assert!(Strategy::Dynamic.needs_coordination());
-        assert!(Strategy::Delay { max_wait_secs: 1.0 }.needs_coordination());
     }
 }

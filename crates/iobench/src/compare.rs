@@ -81,8 +81,8 @@ pub fn alone_times(pfs: &PfsConfig, apps: &[AppConfig]) -> Result<BTreeMap<AppId
     Ok(alone)
 }
 
-/// Runs the scenario once per strategy — concurrently, one
-/// `Session<SharedTransport>` per worker thread — and collects the
+/// Runs the scenario once per strategy — concurrently, one session per
+/// worker thread (see [`run_scenarios`]) — and collects the
 /// comparison. Sessions are deterministic, so the parallel grid produces
 /// the same reports a sequential loop would.
 pub fn compare_strategies(
@@ -175,8 +175,8 @@ impl PolicyComparison {
     }
 }
 
-/// Runs the scenario once per policy spec — concurrently, one
-/// `Session<SharedTransport>` per worker thread — and collects the
+/// Runs the scenario once per policy spec — concurrently, one session
+/// per worker thread (see [`run_scenarios`]) — and collects the
 /// comparison. Every spec is resolved through the standard
 /// [`calciom::PolicyRegistry`]; an unknown name or bad argument surfaces
 /// as a typed configuration error before any simulation starts.

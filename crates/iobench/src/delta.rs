@@ -145,7 +145,7 @@ pub fn dt_range(lo: f64, hi: f64, step: f64) -> Vec<f64> {
 
 /// Runs a Δ-graph sweep: one simulation per dt plus the two stand-alone
 /// baselines. The per-dt sessions are fanned out across worker threads
-/// over the shared transport (see [`run_scenarios`]); the simulation is
+/// (see [`run_scenarios`]); the simulation is
 /// deterministic, so the result is identical to a sequential sweep. The
 /// baselines come from the process-wide
 /// [`BaselineCache`](crate::BaselineCache), so repeated sweeps over the

@@ -22,11 +22,12 @@
 //!   as "Expected" in the paper's Δ-graphs.
 //! * [`series`] — result series and plain-text tables used by the bench
 //!   binaries to print exactly the rows/curves each figure shows.
-//! * [`parallel`] — scoped-thread parallel maps plus [`run_scenarios`] /
-//!   [`run_scenarios_traced`], which fan fully-built
-//!   `Session<SharedTransport>` values out across worker threads
-//!   (deterministic: same reports — and same recorded traces — as a
-//!   sequential run), and [`run_scenarios_sharded`], the machine-scale
+//! * [`parallel`] — one scoped-thread fan-out ([`parallel_map_owned`])
+//!   plus [`run_scenarios`] / [`run_scenarios_traced`], which validate
+//!   every scenario up front and then build and execute each session
+//!   through [`calciom::Scenario::run_with`] on the worker thread that
+//!   runs it (deterministic: same reports — and same recorded traces — as
+//!   a sequential run), and [`run_scenarios_sharded`], the machine-scale
 //!   variant that batches scenarios into shards and resolves `T_alone`
 //!   baselines through a shared [`BaselineCache`] as it goes.
 //!

@@ -4,22 +4,22 @@
 //! value per strategy); running them on all available cores keeps the full
 //! figure-reproduction suite fast. Two layers are provided:
 //!
-//! * [`parallel_map`] / [`parallel_map_owned`] — order-preserving,
-//!   panic-propagating scoped-thread maps over a work list;
-//! * [`run_scenarios`] — the sweep primitive: builds one
-//!   `Session<SharedTransport>` per [`Scenario`] on the calling thread,
-//!   ships the fully-built sessions to worker threads (possible because
-//!   the shared transport makes sessions `Send`), and executes them
-//!   concurrently. The simulation is deterministic, so the reports are
-//!   bit-identical to a sequential run.
+//! * [`parallel_map_owned`] — the one order-preserving, panic-propagating
+//!   scoped-thread fan-out (one worker per contiguous chunk of the work
+//!   list) — and [`parallel_map`], its by-reference form;
+//! * [`run_scenarios`] and its traced and sharded variants — the sweep
+//!   primitives. Every scenario is validated on the calling thread, so a
+//!   misconfigured one fails the sweep before a single simulation starts;
+//!   each session is then built and executed by [`Scenario::run_with`] on
+//!   the worker thread that runs it. The simulation is deterministic, so
+//!   the reports are bit-identical to a sequential run.
 
 use crate::baseline::BaselineCache;
-use calciom::{
-    ClusterStats, ClusterTransport, Error, Scenario, Session, SessionReport, SharedTransport,
-    Trace, TraceRecorder,
-};
+use calciom::{ClusterStats, Error, NullObserver, Scenario, SessionReport, Trace, TraceRecorder};
 use pfs::AppId;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -32,48 +32,11 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = worker_count(max_threads, n);
-    if workers == 1 {
-        return items.iter().map(f).collect();
-    }
-
-    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    let chunk = n.div_ceil(workers);
-
-    thread::scope(|scope| {
-        let mut remaining_items: &[T] = &items;
-        let mut remaining_results: &mut [Option<R>] = &mut results;
-        let f = &f;
-        while !remaining_items.is_empty() {
-            let take = chunk.min(remaining_items.len());
-            let (item_chunk, rest_items) = remaining_items.split_at(take);
-            let (result_chunk, rest_results) = remaining_results.split_at_mut(take);
-            remaining_items = rest_items;
-            remaining_results = rest_results;
-            scope.spawn(move || {
-                for (slot, item) in result_chunk.iter_mut().zip(item_chunk) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        // simlint: allow(R4, scope joins every worker and each worker fills its whole chunk)
-        .map(|r| r.expect("worker filled every slot"))
-        .collect()
+    parallel_map_owned(items.iter().collect(), max_threads, f)
 }
 
 /// By-value variant of [`parallel_map`]: each item is *moved* into the
-/// worker thread that processes it. This is what lets fully-built
-/// `Session<SharedTransport>` values (which own their event queues and
-/// file-system state) execute off-thread.
+/// worker thread that processes it, so items need only be `Send`.
 pub fn parallel_map_owned<T, R, F>(items: Vec<T>, max_threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -120,49 +83,42 @@ where
         .collect()
 }
 
+/// Validates every scenario on the calling thread — the sweeps' "no
+/// simulation starts if any scenario is misconfigured" contract.
+fn validate_all(scenarios: &[Scenario]) -> Result<(), Error> {
+    for scenario in scenarios {
+        scenario.validate()?;
+    }
+    Ok(())
+}
+
 /// Runs a batch of independent scenarios concurrently and returns their
-/// reports in input order.
-///
-/// Every session is built on the calling thread over the `Send + Sync`
-/// [`SharedTransport`], then moved to a worker thread for execution
-/// (`max_threads` as in [`parallel_map`]; 0 means all cores). Building
-/// eagerly means a configuration error in *any* scenario is reported
-/// before a single simulation starts.
+/// reports in input order (`max_threads` as in [`parallel_map`]; 0 means
+/// all cores). A configuration error in *any* scenario is reported before
+/// a single simulation starts.
 pub fn run_scenarios(
     scenarios: &[Scenario],
     max_threads: usize,
 ) -> Result<Vec<SessionReport>, Error> {
-    let sessions = scenarios
-        .iter()
-        .map(Session::<SharedTransport>::with_transport)
-        .collect::<Result<Vec<_>, Error>>()?;
-    parallel_map_owned(sessions, max_threads, Session::execute)
+    validate_all(scenarios)?;
+    parallel_map_owned(scenarios.iter().collect(), max_threads, Scenario::run)
         .into_iter()
         .collect()
 }
 
-/// [`run_scenarios`] with observation: each session carries its own
-/// [`TraceRecorder`] to its worker thread and returns the report *and* the
-/// recorded [`Trace`]. Traces are deterministic like the reports — the
-/// recorded stream is identical to what a sequential, locally-transported
-/// run would produce.
+/// [`run_scenarios`] with observation: each worker records its session
+/// with a [`TraceRecorder`] and returns the report *and* the recorded
+/// [`Trace`]. Traces are deterministic like the reports — the recorded
+/// stream is identical to what a sequential run would produce.
 pub fn run_scenarios_traced(
     scenarios: &[Scenario],
     max_threads: usize,
 ) -> Result<Vec<(SessionReport, Trace)>, Error> {
-    let jobs = scenarios
-        .iter()
-        .map(|s| {
-            Ok((
-                Session::<SharedTransport>::with_transport(s)?,
-                TraceRecorder::for_scenario(s),
-            ))
-        })
-        .collect::<Result<Vec<_>, Error>>()?;
-    parallel_map_owned(jobs, max_threads, |(session, mut recorder)| {
-        session
-            .execute_with(&mut recorder)
-            .map(|report| (report, recorder.into_trace()))
+    validate_all(scenarios)?;
+    parallel_map_owned(scenarios.iter().collect(), max_threads, |scenario| {
+        let mut recorder = TraceRecorder::for_scenario(scenario);
+        let (report, _) = scenario.run_with(&mut recorder)?;
+        Ok((report, recorder.into_trace()))
     })
     .into_iter()
     .collect()
@@ -170,8 +126,8 @@ pub fn run_scenarios_traced(
 
 /// The outcome of one scenario of a sharded sweep: the report, the
 /// `T_alone` baseline of every application (served through the sweep's
-/// [`BaselineCache`]), and the wall-clock the session's execution took on
-/// its worker thread.
+/// [`BaselineCache`]), and the wall-clock the session took on its worker
+/// thread.
 #[derive(Debug, Clone)]
 pub struct ShardedRun {
     /// The session report.
@@ -179,53 +135,21 @@ pub struct ShardedRun {
     /// Stand-alone first-phase I/O time per application — the baselines
     /// machine-wide metrics need ([`SessionReport::metric`]).
     pub alone: BTreeMap<AppId, f64>,
-    /// Host wall-clock spent executing the session (excludes building and
-    /// baseline lookups) — the scale experiments' throughput signal.
+    /// Host wall-clock spent building and executing the session
+    /// (excludes baseline lookups) — the scale experiments' throughput
+    /// signal.
     pub wall: Duration,
     /// Hierarchical-arbitration message accounting, for scenarios that
-    /// ran over a [`ClusterTransport`] (`scenario.cluster` set); `None`
-    /// for flat runs.
+    /// ran over a [`ClusterTransport`](calciom::ClusterTransport)
+    /// (`scenario.cluster` set); `None` for flat runs.
     pub cluster: Option<ClusterStats>,
-}
-
-/// A fully-built session ready to move to a worker thread, dispatched on
-/// the scenario's coordination topology: flat scenarios run over the
-/// [`SharedTransport`], cluster scenarios (`scenario.cluster` set) over a
-/// [`ClusterTransport`] — same sweep machinery, same baselines, either
-/// way. The cluster variant keeps a clone of the transport handle
-/// (transports are shared handles) so the arbiter tree's message
-/// accounting survives the session's consumption by `execute`.
-enum SessionJob {
-    Flat(Session<SharedTransport>),
-    Cluster(Session<ClusterTransport>, ClusterTransport),
-}
-
-impl SessionJob {
-    fn build(scenario: &Scenario) -> Result<SessionJob, Error> {
-        if scenario.cluster.is_some() {
-            let session = Session::<ClusterTransport>::with_transport(scenario)?;
-            let handle = session.transport().clone();
-            Ok(SessionJob::Cluster(session, handle))
-        } else {
-            Ok(SessionJob::Flat(Session::with_transport(scenario)?))
-        }
-    }
-
-    fn execute(self) -> Result<(SessionReport, Option<ClusterStats>), Error> {
-        match self {
-            SessionJob::Flat(session) => Ok((session.execute()?, None)),
-            SessionJob::Cluster(session, handle) => {
-                let report = session.execute()?;
-                Ok((report, Some(handle.stats())))
-            }
-        }
-    }
 }
 
 /// [`run_scenarios`] for machine-scale sweeps: the scenario list is split
 /// into `shards` contiguous batches, each batch executes on its own worker
-/// thread (`std::thread::scope`), and every run also resolves its
-/// applications' `T_alone` baselines through `cache`.
+/// thread, and every run also resolves its applications' `T_alone`
+/// baselines through `cache`. The materialized form of
+/// [`run_scenarios_sharded_streamed`].
 ///
 /// Passing [`BaselineCache::global`] (or any one cache) shares baselines
 /// across all shards — concurrent lookups of the same `(app, pfs)` pair
@@ -238,17 +162,9 @@ pub fn run_scenarios_sharded(
     shards: usize,
     cache: &BaselineCache,
 ) -> Result<Vec<ShardedRun>, Error> {
-    // Build every session up front so a configuration error in any
-    // scenario surfaces before a single simulation starts.
-    let jobs = scenarios
-        .iter()
-        .map(|scenario| Ok((SessionJob::build(scenario)?, scenario)))
-        .collect::<Result<Vec<_>, Error>>()?;
-    parallel_map_owned(jobs, shards, |(job, scenario)| {
-        execute_sharded_job(job, scenario, cache)
-    })
-    .into_iter()
-    .collect()
+    let mut runs = Vec::with_capacity(scenarios.len());
+    run_scenarios_sharded_streamed(scenarios, shards, cache, |run| runs.push(run))?;
+    Ok(runs)
 }
 
 /// [`run_scenarios_sharded`] with incremental delivery: results are
@@ -257,72 +173,45 @@ pub fn run_scenarios_sharded(
 /// vector. This is what lets `calciom-serve` stream a machine-scale
 /// `/v1/batch` response while later shards are still simulating.
 ///
-/// The contract mirrors the materialized variant: every session is built
-/// up front, so a configuration error in *any* scenario returns `Err`
-/// before `sink` sees a single result. A runtime [`Error`] aborts the
-/// stream — `sink` has then been called for some prefix of the inputs
-/// (possibly empty) and the error is returned. Each delivered
-/// [`ShardedRun`] is bit-identical to the one [`run_scenarios_sharded`]
-/// would have produced at the same index.
+/// Every scenario is validated up front, so a configuration error in
+/// *any* scenario returns `Err` before `sink` sees a single result. A
+/// runtime [`Error`] aborts the stream: `sink` has then been called for
+/// exactly the runs before the first failing one, in input order, and
+/// that run's error is returned. Each delivered [`ShardedRun`] is
+/// bit-identical to a sequential run of the same scenario.
 pub fn run_scenarios_sharded_streamed(
     scenarios: &[Scenario],
     shards: usize,
     cache: &BaselineCache,
     mut sink: impl FnMut(ShardedRun),
 ) -> Result<(), Error> {
-    let jobs = scenarios
-        .iter()
-        .map(|scenario| Ok((SessionJob::build(scenario)?, scenario)))
-        .collect::<Result<Vec<_>, Error>>()?;
-    let n = jobs.len();
-    if n == 0 {
-        return Ok(());
-    }
-    let workers = worker_count(shards, n);
-    let chunk = n.div_ceil(workers);
-
-    // Contiguous chunks, exactly like parallel_map_owned, but each worker
-    // reports through a channel the moment a job finishes; the calling
-    // thread reorders into input order and feeds the sink.
-    type IndexedJob<'a> = (usize, (SessionJob, &'a Scenario));
-    let mut chunks: Vec<Vec<IndexedJob<'_>>> = Vec::new();
-    for (i, job) in jobs.into_iter().enumerate() {
-        if i % chunk == 0 {
-            chunks.push(Vec::with_capacity(chunk));
-        }
-        if let Some(last) = chunks.last_mut() {
-            last.push((i, job));
-        }
-    }
-
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<ShardedRun, Error>)>();
+    validate_all(scenarios)?;
+    let (tx, rx) = mpsc::channel::<(usize, Result<ShardedRun, Error>)>();
+    // Set once the receiver has stopped listening (a run failed): the
+    // remaining runs are skipped rather than simulated for nobody.
+    let abandoned = AtomicBool::new(false);
     thread::scope(|scope| {
-        for batch in chunks {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                for (index, (job, scenario)) in batch {
-                    let result = execute_sharded_job(job, scenario, cache);
-                    // A send failure means the receiver gave up (an
-                    // earlier shard errored); stop simulating.
-                    if tx.send((index, result)).is_err() {
-                        return;
-                    }
+        let abandoned = &abandoned;
+        // The fan-out runs off this thread, so the sink (which need not
+        // be `Send`) is fed here while later shards are still simulating.
+        scope.spawn(move || {
+            let indexed: Vec<(usize, &Scenario)> = scenarios.iter().enumerate().collect();
+            parallel_map_owned(indexed, shards, |(index, scenario)| {
+                if abandoned.load(Ordering::Relaxed) {
+                    return;
+                }
+                if tx.send((index, run_sharded(scenario, cache))).is_err() {
+                    abandoned.store(true, Ordering::Relaxed);
                 }
             });
-        }
-        drop(tx);
+        });
 
-        let mut done: BTreeMap<usize, ShardedRun> = BTreeMap::new();
+        let mut done: BTreeMap<usize, Result<ShardedRun, Error>> = BTreeMap::new();
         let mut next = 0usize;
         for (index, result) in rx {
-            match result {
-                Ok(run) => {
-                    done.insert(index, run);
-                }
-                Err(e) => return Err(e),
-            }
-            while let Some(run) = done.remove(&next) {
-                sink(run);
+            done.insert(index, result);
+            while let Some(result) = done.remove(&next) {
+                sink(result?);
                 next += 1;
             }
         }
@@ -330,16 +219,10 @@ pub fn run_scenarios_sharded_streamed(
     })
 }
 
-/// Executes one scenario of a sharded sweep and resolves its baselines —
-/// the shared body of [`run_scenarios_sharded`] and
-/// [`run_scenarios_sharded_streamed`].
-fn execute_sharded_job(
-    job: SessionJob,
-    scenario: &Scenario,
-    cache: &BaselineCache,
-) -> Result<ShardedRun, Error> {
+/// Runs one scenario of a sharded sweep and resolves its baselines.
+fn run_sharded(scenario: &Scenario, cache: &BaselineCache) -> Result<ShardedRun, Error> {
     let started = Instant::now();
-    let (report, cluster) = job.execute()?;
+    let (report, cluster) = scenario.run_with(&mut NullObserver)?;
     let wall = started.elapsed();
     let mut alone = BTreeMap::new();
     for app in &scenario.apps {
@@ -367,7 +250,7 @@ fn worker_count(max_threads: usize, items: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use calciom::Strategy;
+    use calciom::{Session, Strategy};
     use mpiio::{AccessPattern, AppConfig};
     use pfs::{AppId, PfsConfig};
     use std::sync::Mutex;
@@ -451,22 +334,18 @@ mod tests {
         // A Vec of distinct ids, not a hash set: `ThreadId` is not `Ord`,
         // and a linear scan over a handful of workers is plenty.
         let seen: Mutex<Vec<std::thread::ThreadId>> = Mutex::new(Vec::new());
-        let sessions = scenarios
-            .iter()
-            .map(Session::<SharedTransport>::with_transport)
-            .collect::<Result<Vec<_>, Error>>()
-            .unwrap();
-        let reports: Result<Vec<_>, Error> = parallel_map_owned(sessions, 4, |session| {
-            let id = std::thread::current().id();
-            let mut ids = seen.lock().unwrap();
-            if !ids.contains(&id) {
-                ids.push(id);
-            }
-            drop(ids);
-            session.execute()
-        })
-        .into_iter()
-        .collect();
+        let reports: Result<Vec<_>, Error> =
+            parallel_map_owned(scenarios.iter().collect(), 4, |scenario: &Scenario| {
+                let id = std::thread::current().id();
+                let mut ids = seen.lock().unwrap();
+                if !ids.contains(&id) {
+                    ids.push(id);
+                }
+                drop(ids);
+                scenario.run()
+            })
+            .into_iter()
+            .collect();
         assert_eq!(reports.unwrap().len(), scenarios.len());
         assert!(
             seen.lock().unwrap().len() >= 2,

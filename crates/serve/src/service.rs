@@ -28,7 +28,7 @@ use crate::http::{Request, Response};
 use crate::json;
 use crate::log::{CacheOutcome, RequestLog, RequestRecord};
 use calciom::{
-    ConfigError, Error, NullObserver, PolicySpec, Scenario, Session, SimEvent, SimObserver,
+    ConfigError, Error, NullObserver, PolicySpec, Scenario, SimEvent, SimObserver,
     TimelineAggregator, Trace, TraceRecorder,
 };
 use iobench::{run_scenarios_sharded, run_scenarios_sharded_streamed, BaselineCache};
@@ -445,8 +445,8 @@ impl Service {
         let key = cache_key("/v1/run", &scenario, None);
         self.serve_cached(request, key, None, || {
             let mut counter = Counting::new(NullObserver);
-            let report = Session::new(&scenario)
-                .and_then(|s| s.execute_with(&mut counter))
+            let (report, _) = scenario
+                .run_with(&mut counter)
                 .map_err(|e| error_response(&e))?;
             Ok((
                 json::report_json(&report).into_bytes(),
@@ -466,8 +466,8 @@ impl Service {
         let key = cache_key("/v1/trace", &scenario, None);
         self.serve_cached(request, key, None, || {
             let mut counter = Counting::new(TraceRecorder::for_scenario(&scenario));
-            let report = Session::new(&scenario)
-                .and_then(|s| s.execute_with(&mut counter))
+            let (report, _) = scenario
+                .run_with(&mut counter)
                 .map_err(|e| error_response(&e))?;
             let events = counter.events;
             let text = counter.inner.into_trace().to_text();
@@ -499,8 +499,8 @@ impl Service {
         let key = cache_key("/v1/timeline", &scenario, None);
         self.serve_cached(request, key, None, || {
             let mut counter = Counting::new(TimelineAggregator::new());
-            Session::new(&scenario)
-                .and_then(|s| s.execute_with(&mut counter))
+            scenario
+                .run_with(&mut counter)
                 .map_err(|e| error_response(&e))?;
             let events = counter.events;
             let timeline = counter.inner.finish();
@@ -606,7 +606,7 @@ impl Service {
         }
 
         // The head goes out lazily, on the first shard result: a
-        // configuration error raised while *building* the sessions must
+        // configuration error found while validating the scenarios must
         // still produce a proper 4xx/5xx status line, which is only
         // possible while nothing has been sent.
         let mut started = false;

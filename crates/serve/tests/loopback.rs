@@ -4,7 +4,8 @@
 //! The headline property under test is statelessness-as-determinism:
 //! the same scenario POSTed from many concurrent clients must come back
 //! **byte-identical**, and a `/v1/trace` response must decode and
-//! replay bit-for-bit into the `/v1/run` report.
+//! replay bit-for-bit into the `/v1/run` report — for flat and cluster
+//! scenarios alike.
 
 use calciom::{AccessPattern, AppConfig, AppId, PfsConfig, Scenario, Trace};
 use serve::client;
@@ -80,30 +81,43 @@ fn concurrent_identical_posts_return_byte_identical_bodies() {
     handle.shutdown();
 }
 
+/// A committed 2-machine cluster scenario: one application per machine,
+/// both contending for the root's single shared-PFS slot.
+const CLUSTER_SCENARIO: &str = include_str!("cluster_2machines.scenario");
+
 #[test]
 fn trace_decodes_and_replays_bit_for_bit_to_the_run_report() {
     let handle = boot(test_config());
     let addr = handle.addr();
 
-    let run = client::post(addr, "/v1/run", scenario_text().as_bytes()).unwrap();
-    assert_eq!(run.status, 200, "{}", run.text());
+    // A flat scenario and a cluster one: every POST route serves both.
+    for text in [scenario_text(), CLUSTER_SCENARIO.to_string()] {
+        let scenario = Scenario::from_text(&text).expect("scenario parses");
+        let post = |path: &str| {
+            let reply = client::post(addr, path, text.as_bytes()).unwrap();
+            assert_eq!(reply.status, 200, "{path}: {}", reply.text());
+            reply
+        };
+        let run = post("/v1/run");
+        assert_eq!(run.text(), report_json(&scenario.run().unwrap()));
+        post("/v1/timeline");
+        post("/v1/batch");
 
-    let trace = client::post(addr, "/v1/trace", scenario_text().as_bytes()).unwrap();
-    assert_eq!(trace.status, 200, "{}", trace.text());
-    assert_eq!(
-        trace.header("content-type"),
-        Some("text/plain; charset=utf-8")
-    );
-
-    // Decode the wire trace client-side and replay it: the replayed
-    // report serialized the same way must equal the /v1/run body.
-    let decoded = Trace::from_text(&trace.text()).expect("wire trace parses");
-    let replayed = report_json(&decoded.replay_report());
-    assert_eq!(
-        run.text(),
-        replayed,
-        "replayed trace must reproduce the run report bit-for-bit"
-    );
+        let trace = post("/v1/trace");
+        assert_eq!(
+            trace.header("content-type"),
+            Some("text/plain; charset=utf-8")
+        );
+        // Decode the wire trace client-side and replay it: the replayed
+        // report serialized the same way must equal the /v1/run body.
+        let decoded = Trace::from_text(&trace.text()).expect("wire trace parses");
+        let replayed = report_json(&decoded.replay_report());
+        assert_eq!(
+            run.text(),
+            replayed,
+            "replayed trace must reproduce the run report bit-for-bit"
+        );
+    }
     handle.shutdown();
 }
 

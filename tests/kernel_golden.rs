@@ -258,10 +258,14 @@ fn single_machine_cluster_matches_the_goldens_bit_for_bit() {
 
 #[test]
 fn shared_transport_matches_the_goldens_too() {
+    use calciom_stack::calciom::SharedTransport;
     for (label, _, scenario) in matrix() {
         assert_eq!(
             scenario.run().unwrap(),
-            scenario.run_shared().unwrap(),
+            Session::<SharedTransport>::with_transport(&scenario)
+                .unwrap()
+                .execute()
+                .unwrap(),
             "{label}: shared transport diverged"
         );
     }

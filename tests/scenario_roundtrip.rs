@@ -4,9 +4,10 @@
 //!   decoded again reproduces its `SessionReport` **bit for bit** (the
 //!   determinism convention of DESIGN.md: integer-tick clock, no
 //!   randomness, order-independent event handling);
-//! * the thread-safe `SharedTransport` sweep path of `iobench` produces
-//!   reports identical to the sequential `LocalTransport` path while
-//!   genuinely running sessions on at least two worker threads;
+//! * sessions built on the thread-safe `SharedTransport` and fanned out
+//!   by `iobench`'s thread pool produce reports identical to the
+//!   sequential `LocalTransport` path while genuinely running on at least
+//!   two worker threads, and so does the `run_scenarios` sweep;
 //! * the observable-session layer obeys the same convention: the recorded
 //!   `Trace` is identical across transports and repeated runs, its text
 //!   codec round-trips exactly, and replaying it re-derives the
