@@ -32,7 +32,7 @@ impl Experiment for Fig05 {
     }
 
     fn description(&self) -> &'static str {
-        "Instantaneous-bandwidth timeline under no-coordination / FCFS / interrupt (Fig. 5)"
+        "Timeline of instantaneous bandwidth under no-coordination / FCFS / interrupt (Fig. 5)"
     }
 
     fn run(&self, quick: bool) -> Result<FigureOutput, Error> {

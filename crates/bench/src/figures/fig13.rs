@@ -10,16 +10,21 @@
 //! * **machine-wide efficiency** — CPU·seconds wasted (the paper's
 //!   Section IV metric) over the whole mix, baselines served by the shared
 //!   [`BaselineCache`];
-//! * **host wall-clock** — how long the simulation itself took, the
-//!   scaling signal for the `simcore` kernel (the repository benchmark's
-//!   `contended` and `coordinated` workloads time the same sessions).
+//! * **medium work** — per-flow visits the bandwidth medium made, per
+//!   completed flow ([`calciom::Work::medium_visits`] over the flows
+//!   completed): the simulator's cost,
+//!   counted instead of timed, so the panel is the same on every host.
+//!   Flat in N means `O(1)` medium work per flow; the repository
+//!   benchmark's `contended` and `coordinated` workloads time the same
+//!   sessions.
 //!
 //! The sweep runs through [`run_scenarios_sharded`]: one shard per
-//! strategy, all sharing one baseline cache.
+//! strategy, all sharing one baseline cache. A third panel repeats the
+//! work count on the `O(log n)` virtual-time medium at machine scale.
 
 use super::FigureOutput;
 use crate::experiment::Experiment;
-use calciom::{EfficiencyMetric, Error, SharingModel, Strategy};
+use calciom::{EfficiencyMetric, Error, NullObserver, SharingModel, Strategy, Work};
 use iobench::{run_scenarios_sharded, BaselineCache, FigureData, Series};
 use workloads::MachineMix;
 
@@ -32,7 +37,7 @@ impl Experiment for Fig13 {
     }
 
     fn description(&self) -> &'static str {
-        "Machine-level scale: efficiency and kernel wall-clock vs N applications (extension)"
+        "Machine-level scale: efficiency and simulation work vs N applications (extension)"
     }
 
     fn run(&self, quick: bool) -> Result<FigureOutput, Error> {
@@ -50,7 +55,7 @@ pub const STRATEGIES: [Strategy; 5] = [
 ];
 
 /// The coordinated subset of [`STRATEGIES`] — the schedules the
-/// virtual-time sweep runs at N ∈ {2 000, 10 000, 50 000}, where the
+/// virtual-time sweep runs at N ∈ {128, 2 000, 10 000, 50 000}, where the
 /// uncoordinated baseline has no scaling story to tell.
 pub const COORDINATED: [Strategy; 4] = [
     Strategy::FcfsSerialize,
@@ -71,12 +76,47 @@ pub fn mix(n: usize) -> MachineMix {
 }
 
 /// The same mix on the `O(log n)` virtual-time medium — the configuration
-/// of the N ∈ {2 000, 10 000, 50 000} sweep.
+/// of the machine-scale sweep.
 pub fn fair_mix(n: usize) -> MachineMix {
     MachineMix {
         medium: SharingModel::FairFast,
         ..mix(n)
     }
+}
+
+/// `count` per completed flow: `O(1)` when the work per transfer does
+/// not grow with the mix.
+fn per_flow(count: u64, work: &Work) -> f64 {
+    count as f64 / work.flows_completed.max(1) as f64
+}
+
+/// Medium visits per completed flow — the 13b/13c y-axis.
+fn medium_visits_per_flow(work: &Work) -> f64 {
+    per_flow(work.medium_visits(), work)
+}
+
+/// Runs one mix of the virtual-time sweep under `strategy` and returns
+/// the session's work.
+fn fair_work(n: usize, strategy: Strategy) -> Result<Work, Error> {
+    let (report, _, work) = fair_mix(n).scenario(strategy).run_with(&mut NullObserver)?;
+    debug_assert_eq!(report.apps.len(), n);
+    Ok(work)
+}
+
+/// The growth note of one strategy between the two largest N.
+fn growth_note(panel: &str, series: &Series, envelope: (&str, f64)) -> Option<String> {
+    let [.., (n_lo, lo), (n_hi, hi)] = series.points[..] else {
+        return None;
+    };
+    Some(format!(
+        "{panel} {}: N={}..{} per-flow medium work grew x{:.2} ({} would be x{:.2})",
+        series.label,
+        n_lo as usize,
+        n_hi as usize,
+        hi / lo,
+        envelope.0,
+        envelope.1
+    ))
 }
 
 /// Runs the experiment.
@@ -92,38 +132,32 @@ pub fn run(quick: bool) -> Result<FigureOutput, Error> {
         "N (applications)",
         "CPU*seconds wasted (millions)",
     );
-    let mut wall = FigureData::new(
-        "Figure 13b — simulation wall-clock vs N",
+    let mut work = FigureData::new(
+        "Figure 13b — max-min medium work vs N",
         "N (applications)",
-        "session wall-clock (ms)",
+        "medium visits per completed flow",
     );
     let mut eff_series: Vec<Series> = STRATEGIES.iter().map(|s| Series::new(s.label())).collect();
-    let mut wall_series: Vec<Series> = STRATEGIES.iter().map(|s| Series::new(s.label())).collect();
+    let mut work_series: Vec<Series> = STRATEGIES.iter().map(|s| Series::new(s.label())).collect();
 
     let cache = BaselineCache::global();
-    let mut wall_ms: Vec<Vec<f64>> = vec![Vec::new(); STRATEGIES.len()];
     for &n in ns {
         let mix = mix(n);
         let scenarios: Vec<_> = STRATEGIES.iter().map(|s| mix.scenario(*s)).collect();
-        // One shard: the sessions execute back to back on one worker, so
-        // the per-session wall-clock is a clean scaling signal instead of
-        // five strategies contending for cores mid-measurement.
-        let runs = run_scenarios_sharded(&scenarios, 1, cache)?;
+        let runs = run_scenarios_sharded(&scenarios, STRATEGIES.len(), cache)?;
         for (idx, run) in runs.iter().enumerate() {
             let wasted = run
                 .report
                 .metric(EfficiencyMetric::CpuSecondsWasted, &run.alone);
-            let ms = run.wall.as_secs_f64() * 1e3;
             eff_series[idx].push(n as f64, wasted / 1e6);
-            wall_series[idx].push(n as f64, ms);
-            wall_ms[idx].push(ms);
+            work_series[idx].push(n as f64, medium_visits_per_flow(&run.work));
         }
     }
     for series in eff_series {
         eff.add_series(series);
     }
-    for series in wall_series {
-        wall.add_series(series);
+    for series in work_series {
+        work.add_series(series);
     }
 
     let mut out = FigureOutput::new(
@@ -150,108 +184,46 @@ pub fn run(quick: bool) -> Result<FigureOutput, Error> {
         n_max as usize, best.0, best.1, worst.0, worst.1
     ));
 
-    // Kernel scaling: empirical growth between the two largest N.
-    if ns.len() >= 2 {
-        let (n_hi, n_lo) = (ns[ns.len() - 1] as f64, ns[ns.len() - 2] as f64);
-        for (idx, strategy) in STRATEGIES.iter().enumerate() {
-            let ms = &wall_ms[idx];
-            let (lo, hi) = (ms[ms.len() - 2].max(1e-3), ms[ms.len() - 1]);
-            let growth = hi / lo;
-            let quadratic = (n_hi / n_lo) * (n_hi / n_lo);
-            out.notes.push(format!(
-                "kernel wall-clock {}: N={}..{} grew x{:.2} (quadratic would be x{:.0})",
-                strategy.label(),
-                n_lo as usize,
-                n_hi as usize,
-                growth,
-                quadratic
-            ));
-        }
-    }
+    // Medium scaling between the two largest N. Uncoordinated schedules
+    // put every flow in one component, where each completion re-rates
+    // all survivors: `O(N)` work per flow is their floor.
+    let linear = ns[ns.len() - 1] as f64 / ns[ns.len() - 2] as f64;
+    out.notes.extend(
+        work.series
+            .iter()
+            .filter_map(|s| growth_note("max-min", s, ("O(N) per flow", linear))),
+    );
 
     // The virtual-time sweep: the same mix family on the `O(log n)`
-    // medium, one decade further out. Sessions are timed directly (the
-    // wall-clock trajectory is the signal here; machine-wide efficiency
-    // at these N is the max-min sweep's job).
+    // medium, out to machine scale. Baselines are skipped (machine-wide
+    // efficiency at these N is the max-min sweep's job).
     let fair_ns: &[usize] = if quick {
-        &[2_000]
+        &[128, 2_000]
     } else {
-        &[2_000, 10_000, 50_000]
+        &[128, 2_000, 10_000, 50_000]
     };
     let mut fair_fig = FigureData::new(
-        "Figure 13c — virtual-time medium wall-clock vs N",
+        "Figure 13c — virtual-time medium work vs N",
         "N (applications)",
-        "session wall-clock (ms)",
+        "medium visits per completed flow",
     );
-    let mut fair_series: Vec<Series> = COORDINATED.iter().map(|s| Series::new(s.label())).collect();
-    let mut fair_ms: Vec<Vec<f64>> = vec![Vec::new(); COORDINATED.len()];
-    for &n in fair_ns {
-        let mix = fair_mix(n);
-        for (idx, strategy) in COORDINATED.iter().enumerate() {
-            let scenario = mix.scenario(*strategy);
-            let t0 = std::time::Instant::now();
-            let report = scenario.run()?;
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            debug_assert_eq!(report.apps.len(), n);
-            drop(report);
-            fair_series[idx].push(n as f64, ms);
-            fair_ms[idx].push(ms);
+    for strategy in COORDINATED {
+        let mut series = Series::new(strategy.label());
+        for &n in fair_ns {
+            series.push(n as f64, medium_visits_per_flow(&fair_work(n, strategy)?));
         }
-    }
-    for series in fair_series {
         fair_fig.add_series(series);
     }
-    if fair_ns.len() >= 2 {
-        let (n_hi, n_lo) = (
-            fair_ns[fair_ns.len() - 1] as f64,
-            fair_ns[fair_ns.len() - 2] as f64,
-        );
-        for (idx, strategy) in COORDINATED.iter().enumerate() {
-            let ms = &fair_ms[idx];
-            let growth = ms[ms.len() - 1] / ms[ms.len() - 2].max(1e-3);
-            let nlogn = (n_hi / n_lo) * ((n_hi).ln() / (n_lo).ln());
-            out.notes.push(format!(
-                "fair-fast wall-clock {}: N={}..{} grew x{:.2} (N log N would be x{:.1})",
-                strategy.label(),
-                n_lo as usize,
-                n_hi as usize,
-                growth,
-                nlogn
-            ));
-        }
-    }
-
-    // Machine-readable perf trajectory (CI extracts this into
-    // BENCH_scale.json; `fair_fast` carries the virtual-time sweep and
-    // feeds the N=2000 regression gate).
-    let json_ns: Vec<String> = ns.iter().map(|n| n.to_string()).collect();
-    let json_walls: Vec<String> = STRATEGIES
-        .iter()
-        .enumerate()
-        .map(|(idx, s)| {
-            let ms: Vec<String> = wall_ms[idx].iter().map(|m| format!("{m:.3}")).collect();
-            format!("\"{}\":[{}]", s.label(), ms.join(","))
-        })
-        .collect();
-    let json_fair_ns: Vec<String> = fair_ns.iter().map(|n| n.to_string()).collect();
-    let json_fair_walls: Vec<String> = COORDINATED
-        .iter()
-        .enumerate()
-        .map(|(idx, s)| {
-            let ms: Vec<String> = fair_ms[idx].iter().map(|m| format!("{m:.3}")).collect();
-            format!("\"{}\":[{}]", s.label(), ms.join(","))
-        })
-        .collect();
-    out.notes.push(format!(
-        "scale-json: {{\"n\":[{}],\"wall_ms\":{{{}}},\"fair_fast\":{{\"n\":[{}],\"wall_ms\":{{{}}}}}}}",
-        json_ns.join(","),
-        json_walls.join(","),
-        json_fair_ns.join(","),
-        json_fair_walls.join(",")
-    ));
+    let log_n = (fair_ns[fair_ns.len() - 1] as f64).ln() / (fair_ns[fair_ns.len() - 2] as f64).ln();
+    out.notes.extend(
+        fair_fig
+            .series
+            .iter()
+            .filter_map(|s| growth_note("fair-fast", s, ("O(log N) per flow", log_n))),
+    );
 
     out.figures.push(eff);
-    out.figures.push(wall);
+    out.figures.push(work);
     out.figures.push(fair_fig);
     Ok(out)
 }
@@ -274,15 +246,15 @@ mod tests {
                 assert_eq!(series.points.len(), 3);
             }
         }
-        // The virtual-time sweep smokes at N = 2000 in quick mode — the
-        // point the CI regression gate reads.
+        // The virtual-time sweep covers the growth gate's two N in quick
+        // mode.
         let fair = &out.figures[2];
-        assert_eq!(fair.x_values(), vec![2000.0]);
+        assert_eq!(fair.x_values(), vec![128.0, 2000.0]);
         for strategy in COORDINATED {
             let series = fair
                 .series(&strategy.label())
                 .unwrap_or_else(|| panic!("missing fair-fast series {}", strategy.label()));
-            assert_eq!(series.points.len(), 1);
+            assert_eq!(series.points.len(), 2);
         }
         assert!(
             out.notes
@@ -290,11 +262,13 @@ mod tests {
                 .any(|n| n.contains("machine-wide efficiency")),
             "headline note missing"
         );
-        assert!(
+        assert_eq!(
             out.notes
                 .iter()
-                .any(|n| n.starts_with("scale-json: ") && n.contains("\"fair_fast\"")),
-            "perf trajectory note missing its fair_fast section"
+                .filter(|n| n.starts_with("fair-fast "))
+                .count(),
+            COORDINATED.len(),
+            "one virtual-time growth note per coordinated strategy"
         );
     }
 
@@ -307,8 +281,40 @@ mod tests {
         assert_ne!(a.strategy, b.strategy);
     }
 
+    /// The virtual-time medium's scaling gate: from N = 128 to N = 2 000,
+    /// the medium's per-flow visits and the kernel's events, each per
+    /// completed flow, may grow at most like log N under every
+    /// coordinated strategy. Under delay(5s) the mix's flows overlap and
+    /// the group heaps hold hundreds of members, so any medium work that
+    /// is linear in the live flows per completion (a full resync, a
+    /// rescan of the arena) multiplies the per-flow count by about N
+    /// and fails here.
+    #[test]
+    fn fair_fast_work_per_flow_grows_at_most_logarithmically() {
+        let (lo, hi) = (128, 2_000);
+        let log_n = (hi as f64).ln() / (lo as f64).ln();
+        for strategy in COORDINATED {
+            let (small, large) = (
+                fair_work(lo, strategy).unwrap(),
+                fair_work(hi, strategy).unwrap(),
+            );
+            for (what, count) in [
+                ("medium visits", Work::medium_visits as fn(&Work) -> u64),
+                ("kernel events", Work::kernel_events),
+            ] {
+                let growth = per_flow(count(&large), &large) / per_flow(count(&small), &small);
+                assert!(
+                    growth <= log_n,
+                    "{}: {what} per completed flow grew x{growth:.2} from N={lo} to N={hi} \
+                     (O(log N) allows x{log_n:.2}); {small:?} -> {large:?}",
+                    strategy.label()
+                );
+            }
+        }
+    }
+
     /// The full-scale acceptance run: N = 512 under all five strategies,
-    /// with an empirical sub-quadratic check on the kernel from
+    /// with a per-flow growth check on the max-min medium from
     /// N = 128 → 512. Ignored by default (it is the `--quick`-less
     /// experiment, minutes of work in debug builds); run explicitly with
     /// `cargo test -p calciom-bench --release -- --ignored scale_512`.
@@ -316,53 +322,48 @@ mod tests {
     #[ignore = "full-scale run; exercised by `fig13_scale` without --quick"]
     fn scale_512_completes_and_grows_subquadratically() {
         let out = run(false).unwrap();
-        let wall = &out.figures[1];
+        let work = &out.figures[1];
         for strategy in STRATEGIES {
-            let series = wall.series(&strategy.label()).unwrap();
+            let series = work.series(&strategy.label()).unwrap();
             let at = |n: f64| series.y_at(n).unwrap();
             // Completion at N=512 is implied by the point existing.
-            let growth = at(512.0) / at(128.0).max(1e-3);
-            // Coordinated schedules keep components small — the
-            // incremental allocator makes them near-linear (measured
-            // ≈ x5 for x4 N on the reference machine, i.e. ~N^1.2).
+            let growth = at(512.0) / at(128.0);
+            // Coordinated schedules keep components small: the
+            // incremental allocator re-rates a bounded set per flow.
             // Uncoordinated (and budget-expired delay) schedules put
             // every flow in one component, where each completion
-            // re-rates all survivors: Ω(N) per completion — so quadratic
-            // total is the *lower bound* there and the check is only
-            // that it stays bounded-quadratic (x16 would be exactly
-            // quadratic; the margin absorbs the five concurrent shards
-            // contending for cores during the measurement).
+            // re-rates all survivors: O(N) per flow, x4 for x4 N, is the
+            // floor there and the check is that it stays linear.
             let bound = match strategy {
-                Strategy::Interfere | Strategy::Delay { .. } => 24.0,
-                _ => 8.0,
+                Strategy::Interfere | Strategy::Delay { .. } => 5.0,
+                _ => 1.5,
             };
             assert!(
                 growth < bound,
-                "{}: wall-clock grew x{growth:.1} from N=128 to N=512 (bound x{bound})",
+                "{}: per-flow medium work grew x{growth:.2} from N=128 to N=512 (bound x{bound})",
                 strategy.label()
             );
         }
     }
 
     /// The machine-scale acceptance run on the virtual-time medium:
-    /// N = 50 000 under every coordinated strategy, with an empirical
-    /// O(N log N) check from N = 10 000 → 50 000 (a 5× N step under
-    /// N log N is ×5.9; the bound leaves allocator and cache headroom).
-    /// Run explicitly with
+    /// N = 50 000 under every coordinated strategy, with the O(log N)
+    /// per-flow check from N = 10 000 → 50 000. Run explicitly with
     /// `cargo test -p calciom-bench --release -- --ignored scale_50k`.
     #[test]
     #[ignore = "machine-scale run; exercised by `fig13_scale` without --quick"]
     fn scale_50k_completes_and_grows_like_n_log_n() {
         let out = run(false).unwrap();
         let fair = &out.figures[2];
+        let log_n = 50_000f64.ln() / 10_000f64.ln();
         for strategy in COORDINATED {
             let series = fair.series(&strategy.label()).unwrap();
             let at = |n: f64| series.y_at(n).unwrap();
             // Completion at N = 50 000 is implied by the point existing.
-            let growth = at(50_000.0) / at(10_000.0).max(1e-3);
+            let growth = at(50_000.0) / at(10_000.0);
             assert!(
-                growth < 12.0,
-                "{}: wall-clock grew x{growth:.1} from N=10k to N=50k (bound x12)",
+                growth <= log_n,
+                "{}: per-flow medium work grew x{growth:.2} from N=10k to N=50k (bound x{log_n:.2})",
                 strategy.label()
             );
         }

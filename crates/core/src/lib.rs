@@ -122,3 +122,4 @@ pub use trace::{Trace, TraceRecorder};
 pub use mpiio::{AccessPattern, AppConfig, CollectiveConfig, Granularity};
 pub use pfs::{AppId, CacheConfig, PfsConfig, SharePolicy};
 pub use simcore::fair::SharingModel;
+pub use simcore::Work;

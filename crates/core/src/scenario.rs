@@ -28,6 +28,7 @@ use mpiio::{AccessPattern, AppConfig, CollectiveConfig, Granularity};
 use pfs::{AppId, CacheConfig, PfsConfig, SharePolicy};
 use simcore::fair::SharingModel;
 use simcore::time::{SimDuration, SimTime};
+use simcore::Work;
 use std::collections::BTreeMap;
 
 /// Header line of the textual scenario encoding.
@@ -162,7 +163,7 @@ impl Scenario {
     /// Runs the scenario to completion, unobserved: [`Scenario::run_with`]
     /// without the observer or the arbiter tree's message accounting.
     pub fn run(&self) -> Result<SessionReport, Error> {
-        self.run_with(&mut NullObserver).map(|(report, _)| report)
+        self.run_with(&mut NullObserver).map(|(report, ..)| report)
     }
 
     /// Runs the scenario to completion, streaming every
@@ -171,22 +172,23 @@ impl Scenario {
     /// in-process [`LocalTransport`]; scenarios carrying a
     /// [`ClusterSpec`] run on the hierarchical [`ClusterTransport`], whose
     /// message accounting comes back as the [`ClusterStats`] (`None` for
-    /// flat runs). The session is built and executed on the calling
-    /// thread.
+    /// flat runs), followed by the [`Work`] the session did. The session
+    /// is built and executed on the calling thread.
     pub fn run_with<O: SimObserver>(
         &self,
         observer: &mut O,
-    ) -> Result<(SessionReport, Option<ClusterStats>), Error> {
+    ) -> Result<(SessionReport, Option<ClusterStats>, Work), Error> {
         if self.cluster.is_some() {
             let session = Session::<ClusterTransport>::with_transport(self)?;
             // Transports are shared handles: this clone outlives the
-            // session `execute_with` consumes, so the stats survive it.
+            // session `execute_counted` consumes, so the stats survive it.
             let tree = session.transport().clone();
-            let report = session.execute_with(observer)?;
-            Ok((report, Some(tree.stats())))
+            let (report, work) = session.execute_counted(observer)?;
+            Ok((report, Some(tree.stats()), work))
         } else {
-            let report = Session::<LocalTransport>::with_transport(self)?.execute_with(observer)?;
-            Ok((report, None))
+            let (report, work) =
+                Session::<LocalTransport>::with_transport(self)?.execute_counted(observer)?;
+            Ok((report, None, work))
         }
     }
 

@@ -46,6 +46,7 @@ use mpiio::{AppConfig, Granularity, IoPlan, StepKind};
 use pfs::{AppId, Pfs, PfsConfig, TransferId};
 use simcore::kernel::Kernel;
 use simcore::time::{SimDuration, SimTime};
+use simcore::Work;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Timing of one I/O phase of one application.
@@ -391,10 +392,18 @@ impl<T: CoordinationTransport> Session<T> {
     /// internal [`ReportBuilder`], so whatever the observer recorded (a
     /// [`Trace`](crate::Trace), a timeline, …) can never disagree with the
     /// aggregate view.
-    pub fn execute_with<O: SimObserver>(
+    pub fn execute_with<O: SimObserver>(self, observer: &mut O) -> Result<SessionReport, Error> {
+        self.execute_counted(observer).map(|(report, _)| report)
+    }
+
+    /// [`Session::execute_with`] that also returns the [`Work`] the
+    /// session's kernel and file-system medium did — deterministic counts
+    /// kept next to the report, not inside it, so report equality does
+    /// not depend on them.
+    pub fn execute_counted<O: SimObserver>(
         mut self,
         observer: &mut O,
-    ) -> Result<SessionReport, Error> {
+    ) -> Result<(SessionReport, Work), Error> {
         let mut em = Emitter {
             builder: ReportBuilder::new(&self.cfg),
             observer,
@@ -494,7 +503,7 @@ impl<T: CoordinationTransport> Session<T> {
                 coordination_messages: self.transport.message_count(),
             },
         );
-        Ok(em.builder.finish())
+        Ok((em.builder.finish(), self.kernel.work()))
     }
 
     /// The runtime of a registered application — the single justified

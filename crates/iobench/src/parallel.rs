@@ -15,13 +15,14 @@
 //!   the reports are bit-identical to a sequential run.
 
 use crate::baseline::BaselineCache;
-use calciom::{ClusterStats, Error, NullObserver, Scenario, SessionReport, Trace, TraceRecorder};
+use calciom::{
+    ClusterStats, Error, NullObserver, Scenario, SessionReport, Trace, TraceRecorder, Work,
+};
 use pfs::AppId;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::thread;
-use std::time::{Duration, Instant};
 
 /// Applies `f` to every item of `items`, distributing the work over up to
 /// `max_threads` worker threads (or the number of available cores if 0),
@@ -117,7 +118,7 @@ pub fn run_scenarios_traced(
     validate_all(scenarios)?;
     parallel_map_owned(scenarios.iter().collect(), max_threads, |scenario| {
         let mut recorder = TraceRecorder::for_scenario(scenario);
-        let (report, _) = scenario.run_with(&mut recorder)?;
+        let (report, ..) = scenario.run_with(&mut recorder)?;
         Ok((report, recorder.into_trace()))
     })
     .into_iter()
@@ -126,8 +127,7 @@ pub fn run_scenarios_traced(
 
 /// The outcome of one scenario of a sharded sweep: the report, the
 /// `T_alone` baseline of every application (served through the sweep's
-/// [`BaselineCache`]), and the wall-clock the session took on its worker
-/// thread.
+/// [`BaselineCache`]), and the [`Work`] the session did.
 #[derive(Debug, Clone)]
 pub struct ShardedRun {
     /// The session report.
@@ -135,10 +135,9 @@ pub struct ShardedRun {
     /// Stand-alone first-phase I/O time per application — the baselines
     /// machine-wide metrics need ([`SessionReport::metric`]).
     pub alone: BTreeMap<AppId, f64>,
-    /// Host wall-clock spent building and executing the session
-    /// (excludes baseline lookups) — the scale experiments' throughput
-    /// signal.
-    pub wall: Duration,
+    /// Kernel events and medium visits of the session (excludes baseline
+    /// lookups) — the scale experiments' cost signal.
+    pub work: Work,
     /// Hierarchical-arbitration message accounting, for scenarios that
     /// ran over a [`ClusterTransport`](calciom::ClusterTransport)
     /// (`scenario.cluster` set); `None` for flat runs.
@@ -155,8 +154,8 @@ pub struct ShardedRun {
 /// across all shards — concurrent lookups of the same `(app, pfs)` pair
 /// are safe and keep the hit/miss counters consistent (see
 /// [`BaselineCache`]'s concurrency contract). Passing a fresh cache per
-/// call isolates sweeps instead. Reports are deterministic either way;
-/// only `wall` varies between runs.
+/// call isolates sweeps instead. Every field is deterministic either
+/// way.
 pub fn run_scenarios_sharded(
     scenarios: &[Scenario],
     shards: usize,
@@ -221,9 +220,7 @@ pub fn run_scenarios_sharded_streamed(
 
 /// Runs one scenario of a sharded sweep and resolves its baselines.
 fn run_sharded(scenario: &Scenario, cache: &BaselineCache) -> Result<ShardedRun, Error> {
-    let started = Instant::now();
-    let (report, cluster) = scenario.run_with(&mut NullObserver)?;
-    let wall = started.elapsed();
+    let (report, cluster, work) = scenario.run_with(&mut NullObserver)?;
     let mut alone = BTreeMap::new();
     for app in &scenario.apps {
         alone.insert(app.id, cache.alone_time(app, &scenario.pfs)?);
@@ -231,7 +228,7 @@ fn run_sharded(scenario: &Scenario, cache: &BaselineCache) -> Result<ShardedRun,
     Ok(ShardedRun {
         report,
         alone,
-        wall,
+        work,
         cluster,
     })
 }

@@ -10,6 +10,13 @@
 
 use crate::error::ConfigError;
 
+/// The most storage servers a file system may have. Each server costs a
+/// constraint, a state slot and one flow per in-flight transfer, so the
+/// count sizes allocations before any simulation runs; the bound keeps a
+/// scenario from outside (a service request) from asking for more memory
+/// than the host has. The largest preset has 35 servers.
+pub const MAX_SERVERS: usize = 1024;
+
 /// How a storage server shares its bandwidth between concurrent clients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SharePolicy {
@@ -69,6 +76,11 @@ impl PfsConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_servers == 0 {
             return Err(ConfigError::NoServers);
+        }
+        if self.num_servers > MAX_SERVERS {
+            return Err(ConfigError::TooManyServers {
+                num_servers: self.num_servers,
+            });
         }
         if self.server_bw.is_nan() || self.server_bw <= 0.0 {
             return Err(ConfigError::NonPositive { field: "server_bw" });
@@ -193,6 +205,22 @@ mod tests {
             ..PfsConfig::default()
         };
         assert!(c.validate().is_err());
+
+        let c = PfsConfig {
+            num_servers: MAX_SERVERS + 1,
+            ..PfsConfig::default()
+        };
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::TooManyServers {
+                num_servers: MAX_SERVERS + 1
+            })
+        );
+        let c = PfsConfig {
+            num_servers: MAX_SERVERS,
+            ..PfsConfig::default()
+        };
+        c.validate().unwrap();
 
         let mut c = PfsConfig {
             interference_gamma: 0.0,

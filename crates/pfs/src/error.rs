@@ -10,6 +10,11 @@
 pub enum ConfigError {
     /// `num_servers` was zero; a file system needs at least one server.
     NoServers,
+    /// `num_servers` exceeded [`MAX_SERVERS`](crate::config::MAX_SERVERS).
+    TooManyServers {
+        /// The rejected server count.
+        num_servers: usize,
+    },
     /// A bandwidth or capacity field was NaN, zero, or negative.
     NonPositive {
         /// Name of the offending field (e.g. `"server_bw"`).
@@ -34,6 +39,11 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::NoServers => write!(f, "num_servers must be at least 1"),
+            ConfigError::TooManyServers { num_servers } => write!(
+                f,
+                "num_servers must be at most {}, got {num_servers}",
+                crate::config::MAX_SERVERS
+            ),
             ConfigError::NonPositive { field } => write!(f, "{field} must be positive"),
             ConfigError::GammaOutOfRange { gamma } => {
                 write!(f, "interference_gamma must be in (0, 1], got {gamma}")

@@ -15,6 +15,7 @@ use crate::{AppId, WriteBackCache};
 use simcore::fair::{SharingModel, VtFairNetwork};
 use simcore::fluid::{ConstraintId, FlowId, FlowProgress, FlowSpec, FluidNetwork};
 use simcore::time::{SimDuration, SimTime};
+use simcore::Work;
 use std::collections::BTreeMap;
 
 /// Handle to a submitted transfer (one atomic write).
@@ -120,10 +121,10 @@ impl Network {
         delegate!(self, net => net.drain_completed())
     }
     fn stalled_flows(&mut self) -> Vec<FlowId> {
-        match self {
-            Network::MaxMin(net) => net.stalled_flows(),
-            Network::FairFast(net) => net.stalled_flows(),
-        }
+        delegate!(self, net => net.stalled_flows())
+    }
+    fn work(&self) -> Work {
+        delegate!(self, net => net.work())
     }
 }
 
@@ -625,6 +626,12 @@ impl simcore::kernel::Medium for Pfs {
     fn advance(&mut self, dt: SimDuration) {
         let target = self.now + dt;
         self.advance_to(target);
+    }
+
+    /// The bandwidth medium's counts: the file system's own bookkeeping
+    /// is not counted.
+    fn work(&self) -> Work {
+        self.net.work()
     }
 }
 

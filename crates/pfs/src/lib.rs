@@ -41,7 +41,7 @@ pub mod filesystem;
 pub mod server;
 
 pub use cache::WriteBackCache;
-pub use config::{CacheConfig, PfsConfig, SharePolicy};
+pub use config::{CacheConfig, PfsConfig, SharePolicy, MAX_SERVERS};
 pub use error::ConfigError;
 pub use filesystem::{Pfs, TransferId, TransferProgress};
 pub use server::ServerState;

@@ -1,5 +1,4 @@
-//! A minimal blocking HTTP/1.1 client for the loopback tests and the
-//! benchmarks.
+//! A minimal blocking HTTP/1.1 client for the loopback tests.
 //!
 //! Exactly the counterpart of the server's wire subset, in two shapes:
 //!
@@ -152,26 +151,6 @@ impl Conn {
         body: &[u8],
     ) -> io::Result<()> {
         let wire = encode_request(self.addr, method, target, headers, body);
-        self.stream.write_all(&wire)?;
-        self.stream.flush()
-    }
-
-    /// Pipelines `count` identical requests in a **single** buffered
-    /// write — one syscall per burst instead of one per request. Call
-    /// [`Conn::recv`] `count` times, in order.
-    pub fn send_repeated(
-        &mut self,
-        method: &str,
-        target: &str,
-        headers: &[(&str, &str)],
-        body: &[u8],
-        count: usize,
-    ) -> io::Result<()> {
-        let one = encode_request(self.addr, method, target, headers, body);
-        let mut wire = Vec::with_capacity(one.len() * count);
-        for _ in 0..count {
-            wire.extend_from_slice(&one);
-        }
         self.stream.write_all(&wire)?;
         self.stream.flush()
     }

@@ -516,9 +516,9 @@ impl Reactor {
     }
 
     /// Offers every dispatchable request first to the service's
-    /// no-simulation fast path (served inline, right on this thread —
-    /// a pipelined burst of cache hits drains in one loop iteration),
-    /// then to the worker pool. `try_send` keeps the reactor thread
+    /// no-scenario fast path (health checks, the policy listing and
+    /// routing errors, served inline right on this thread), then to the
+    /// worker pool. `try_send` keeps the reactor thread
     /// non-blocking: when the pool is saturated the request stays
     /// pending on its connection and is re-offered on the next tick (a
     /// completion implies a freed worker).

@@ -260,101 +260,26 @@ impl Service {
         });
     }
 
-    /// Serves the request inline **iff** it needs no simulation: trivial
-    /// GETs, routing errors, request-shape errors, `If-None-Match`
-    /// revalidations, and response-cache hits. Returns `false` without
-    /// touching `sink` when real work is required.
+    /// Serves the request inline **iff** it carries no scenario: the
+    /// no-body routes (`GET /healthz`, `GET /v1/policies`) and routing
+    /// errors (404/405). Returns `false` without touching `sink` for the
+    /// `POST` routes, whose scenario decode, cache lookup and simulation
+    /// all run on a worker.
     ///
-    /// This is the epoll reactor's fast path: a pipelined burst of
-    /// cache hits is answered on the reactor thread itself — read once,
-    /// serve all, write once — instead of paying a worker-pool
-    /// round-trip (two thread hand-offs) per request. Everything served
-    /// here is logged exactly as [`Service::handle_into`] would.
+    /// This is the epoll reactor's fast path: health checks are answered
+    /// on the reactor thread itself instead of queueing behind
+    /// simulations, and the reactor never decodes a scenario.
     pub fn handle_fast(
         &self,
         conn: Option<u64>,
         request: &Request,
         sink: &mut dyn ResponseSink,
     ) -> bool {
-        let started = Instant::now();
-        let Some(handled) = self.dispatch_fast(request) else {
+        if request.method == "POST" && ROUTES.contains(&("POST", request.path.as_str())) {
             return false;
-        };
-        let meta = handled.emit(sink);
-        self.log.record(&RequestRecord {
-            conn,
-            method: request.method.clone(),
-            path: request.path.clone(),
-            scenario_hash: (!request.body.is_empty()).then(|| json::fnv64(&request.body)),
-            shards: meta.shards,
-            status: meta.status,
-            events: meta.events,
-            wall: started.elapsed(),
-            cache: meta.cache,
-        });
-        true
-    }
-
-    /// The dispatch half of [`Service::handle_fast`]. A sustained
-    /// stream of identical requests is answered from a raw-bytes memo
-    /// with no parsing at all; the first repeat of a cached scenario
-    /// pays one parse + canonical-key hash to *install* that memo; and
-    /// on a cache miss the parse is simply redone by the worker — the
-    /// miss is about to simulate for milliseconds anyway.
-    fn dispatch_fast(&self, request: &Request) -> Option<Handled> {
-        match (request.method.as_str(), request.path.as_str()) {
-            // Cheap to *compute*, not just to look up.
-            ("GET", "/healthz") | ("GET", "/v1/policies") => Some(self.dispatch(request)),
-            ("POST", "/v1/run") | ("POST", "/v1/trace") | ("POST", "/v1/timeline") => {
-                // Level 1: the raw request bytes. The service is a pure
-                // function of the request, so identical bytes must get
-                // the identical response — lookup is one string compare,
-                // no scenario parse. (Revalidations need the ETag
-                // protocol; route them through the canonical path.)
-                let raw = request
-                    .header("if-none-match")
-                    .is_none()
-                    .then(|| raw_memo_key(request));
-                if let Some(key) = &raw {
-                    if let Some(hit) = self.cache.get(key) {
-                        return Some(hit_handled(hit, None));
-                    }
-                }
-                // Level 2: parse and consult the canonical cache, which
-                // absorbs formatting variants of the same scenario.
-                let scenario = match self.scenario_from(request) {
-                    Ok(s) => s,
-                    // A malformed request is answered inline: rejecting
-                    // it never needs a simulation worker.
-                    Err(response) => return Some(Handled::plain(response)),
-                };
-                let key = cache_key(&request.path, &scenario, None);
-                let tag = json::etag(&key);
-                if request.header("if-none-match") == Some(tag.as_str()) {
-                    return Some(Handled {
-                        response: Response {
-                            status: 304,
-                            headers: vec![("etag".to_string(), tag)],
-                            body: Vec::new(),
-                        },
-                        events: 0,
-                        shards: None,
-                        cache: None,
-                    });
-                }
-                let hit = self.cache.get(&key)?;
-                if let Some(raw) = raw {
-                    // Memoize under the raw bytes: the next identical
-                    // request skips the parse entirely.
-                    self.cache.insert(&raw, hit.clone());
-                }
-                Some(hit_handled(hit, None))
-            }
-            // Batches can shard/stream: always worker territory.
-            ("POST", "/v1/batch") => None,
-            // 404/405 are static routing answers.
-            _ => Some(self.dispatch(request)),
         }
+        self.handle_into(conn, request, sink);
+        true
     }
 
     /// Builds and logs the response for a request that could not even be
@@ -445,7 +370,7 @@ impl Service {
         let key = cache_key("/v1/run", &scenario, None);
         self.serve_cached(request, key, None, || {
             let mut counter = Counting::new(NullObserver);
-            let (report, _) = scenario
+            let (report, ..) = scenario
                 .run_with(&mut counter)
                 .map_err(|e| error_response(&e))?;
             Ok((
@@ -466,7 +391,7 @@ impl Service {
         let key = cache_key("/v1/trace", &scenario, None);
         self.serve_cached(request, key, None, || {
             let mut counter = Counting::new(TraceRecorder::for_scenario(&scenario));
-            let (report, _) = scenario
+            let (report, ..) = scenario
                 .run_with(&mut counter)
                 .map_err(|e| error_response(&e))?;
             let events = counter.events;
@@ -576,33 +501,8 @@ impl Service {
         // short-circuit to a materialized response — only a cache miss
         // actually streams.
         let tag = json::etag(&key);
-        if request.header("if-none-match") == Some(tag.as_str()) {
-            let meta = LogMeta {
-                status: 304,
-                events: 0,
-                shards: Some(shards),
-                cache: None,
-            };
-            sink.part(ResponsePart::Full(Response {
-                status: 304,
-                headers: vec![("etag".to_string(), tag)],
-                body: Vec::new(),
-            }));
-            return meta;
-        }
-        if let Some(hit) = self.cache.get(&key) {
-            let meta = LogMeta {
-                status: 200,
-                events: hit.events,
-                shards: Some(shards),
-                cache: Some(CacheOutcome::Hit),
-            };
-            sink.part(ResponsePart::Full(
-                Response::with_body(200, hit.content_type, hit.body)
-                    .header("etag", &hit.etag)
-                    .header("x-cache", CacheOutcome::Hit.label()),
-            ));
-            return meta;
+        if let Some(handled) = self.revalidate_or_hit(request, &key, &tag, Some(shards)) {
+            return handled.emit(sink);
         }
 
         // The head goes out lazily, on the first shard result: a
@@ -844,41 +744,6 @@ impl Service {
 /// The canonical cache/ETag key: endpoint + policy label + the
 /// scenario's canonical text (the `BaselineCache` key discipline —
 /// `from_text ∘ to_text` has already normalized the request body).
-/// The level-1 memo key for [`Service::handle_fast`]: the raw request
-/// bytes, verbatim (method, target, body). Distinct formatting of the
-/// same scenario gets distinct entries here — the canonical cache
-/// underneath deduplicates the *computation*; this layer only skips the
-/// parse for exact repeats. The `"raw "` prefix keeps it disjoint from
-/// canonical keys, which start with the endpoint path.
-fn raw_memo_key(request: &Request) -> String {
-    let mut key = String::with_capacity(
-        request.method.len() + request.path.len() + request.query.len() + request.body.len() + 8,
-    );
-    key.push_str("raw ");
-    key.push_str(&request.method);
-    key.push(' ');
-    key.push_str(&request.path);
-    key.push('?');
-    key.push_str(&request.query);
-    key.push(' ');
-    key.push_str(&String::from_utf8_lossy(&request.body));
-    key
-}
-
-/// A cache hit as [`Handled`] — the exact response shape
-/// [`Service::serve_cached`] produces for hits, so every cache level is
-/// byte-identical on the wire.
-fn hit_handled(hit: CachedResponse, shards: Option<usize>) -> Handled {
-    Handled {
-        response: Response::with_body(200, hit.content_type, hit.body)
-            .header("etag", &hit.etag)
-            .header("x-cache", CacheOutcome::Hit.label()),
-        events: hit.events,
-        shards,
-        cache: Some(CacheOutcome::Hit),
-    }
-}
-
 fn cache_key(endpoint: &str, scenario: &Scenario, shards: Option<usize>) -> String {
     let mut key = format!("{endpoint} policy={}\n", scenario.policy_label());
     if let Some(shards) = shards {
@@ -1025,6 +890,34 @@ mod tests {
             .headers
             .iter()
             .any(|(n, v)| n == "allow" && v == "POST"));
+    }
+
+    #[test]
+    fn fast_path_serves_only_requests_without_a_scenario() {
+        let svc = service();
+        for request in [
+            get("/healthz"),
+            get("/v1/policies"),
+            get("/nope"),
+            get("/v1/run"),
+        ] {
+            let mut sink = CollectSink::new();
+            assert!(
+                svc.handle_fast(None, &request, &mut sink),
+                "{}",
+                request.path
+            );
+            assert_ne!(sink.into_response().status, 500);
+        }
+        // Every POST route goes to a worker, even a request that is
+        // already cached or cannot parse: the reactor decodes nothing.
+        let body = scenario_text();
+        assert_eq!(svc.handle(&post("/v1/run", "", body.clone())).status, 200);
+        for request in [post("/v1/run", "", body), post("/v1/trace", "", "garbage")] {
+            let mut sink = CollectSink::new();
+            assert!(!svc.handle_fast(None, &request, &mut sink));
+            assert!(sink.full.is_none() && sink.head.is_none());
+        }
     }
 
     #[test]

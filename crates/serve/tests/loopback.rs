@@ -272,6 +272,21 @@ fn unknown_policy_is_a_structured_422() {
 }
 
 #[test]
+fn oversized_server_count_is_a_422_and_the_server_keeps_serving() {
+    // A 1 KB body asking for 2^32 - 1 storage servers: rejected by
+    // validation before anything is sized from it.
+    let text = CLUSTER_SCENARIO.replace("num_servers = 12\n", "num_servers = 4294967295\n");
+    assert!(text.contains("num_servers = 4294967295\n"));
+    let handle = boot(test_config());
+    let addr = handle.addr();
+    let reply = client::post(addr, "/v1/run", text.as_bytes()).unwrap();
+    assert_eq!(reply.status, 422, "{}", reply.text());
+    assert!(reply.text().contains("num_servers"), "{}", reply.text());
+    assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
+    handle.shutdown();
+}
+
+#[test]
 fn graceful_shutdown_drains_and_joins() {
     let handle = boot(test_config());
     let addr = handle.addr();

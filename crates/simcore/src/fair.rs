@@ -47,6 +47,7 @@
 
 use crate::fluid::{completion_threshold, ConstraintId, FlowId, FlowProgress, FlowSpec, EPS};
 use crate::time::SimDuration;
+use crate::work::Work;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
@@ -230,6 +231,8 @@ pub struct VtFairNetwork {
     /// Active flows with no group at all (no finite cap, no finite
     /// constraint): pinned at rate zero.
     starved: BTreeSet<FlowId>,
+    /// Heap operations and arena visits so far.
+    work: Work,
 }
 
 fn make_id(idx: u32, gen: u32) -> FlowId {
@@ -393,6 +396,7 @@ impl VtFairNetwork {
                 let finish_v = group.virt + slot.remaining / slot.weight;
                 group.add_member(slot.weight, slot.cap_ratio);
                 group.heap.push(Reverse((finish_v.to_bits(), idx, epoch)));
+                self.work.heap_pushes += 1;
                 slot.residence = Residence::Group(g);
             }
             None if slot.rate_cap.is_finite() => {
@@ -402,6 +406,7 @@ impl VtFairNetwork {
                 self.lone
                     .heap
                     .push(Reverse((finish_v.to_bits(), idx, epoch)));
+                self.work.heap_pushes += 1;
                 slot.residence = Residence::Lone;
             }
             None => {
@@ -498,6 +503,7 @@ impl VtFairNetwork {
             self.slots[idx as usize] = Some(slot);
             self.finished.insert(id);
             self.newly_completed.push(id);
+            self.work.flows_completed += 1;
             return;
         }
         self.enter(idx, &mut slot);
@@ -601,6 +607,7 @@ impl VtFairNetwork {
     pub fn aggregate_rate(&mut self) -> f64 {
         let mut total: f64 = self.groups.iter().map(|g| g.weight * g.rate_v).sum();
         if self.lone.members > 0 {
+            self.work.members_visited += self.slots.len() as u64;
             total += self
                 .slots
                 .iter()
@@ -639,6 +646,7 @@ impl VtFairNetwork {
                 break f64::from_bits(bits);
             }
             self.groups[g].heap.pop();
+            self.work.stale_skipped += 1;
         };
         let group = &self.groups[g];
         if group.rate_v <= EPS {
@@ -654,6 +662,7 @@ impl VtFairNetwork {
                 break f64::from_bits(bits);
             }
             self.lone.heap.pop();
+            self.work.stale_skipped += 1;
         };
         Some((top - self.lone.virt).max(0.0))
     }
@@ -691,6 +700,7 @@ impl VtFairNetwork {
             };
             if !self.entry_live(idx, epoch, Residence::Group(g as u32)) {
                 self.groups[g].heap.pop();
+                self.work.stale_skipped += 1;
                 continue;
             }
             let virt = self.groups[g].virt;
@@ -702,6 +712,7 @@ impl VtFairNetwork {
                 return;
             }
             self.groups[g].heap.pop();
+            self.work.heap_pops += 1;
             self.complete_slot(idx);
         }
     }
@@ -713,6 +724,7 @@ impl VtFairNetwork {
             };
             if !self.entry_live(idx, epoch, Residence::Lone) {
                 self.lone.heap.pop();
+                self.work.stale_skipped += 1;
                 continue;
             }
             let (cap, threshold) = {
@@ -723,6 +735,7 @@ impl VtFairNetwork {
                 return;
             }
             self.lone.heap.pop();
+            self.work.heap_pops += 1;
             self.complete_slot(idx);
         }
     }
@@ -739,6 +752,7 @@ impl VtFairNetwork {
         let id = make_id(idx, slot.gen);
         self.finished.insert(id);
         self.newly_completed.push(id);
+        self.work.flows_completed += 1;
     }
 
     /// Flows that completed since the last call, in completion order.
@@ -756,7 +770,8 @@ impl VtFairNetwork {
     /// (e.g. a zero-capacity constraint). Such flows never produce a
     /// completion event, so a session driving the network would hang
     /// without detecting them.
-    pub fn stalled_flows(&self) -> Vec<FlowId> {
+    pub fn stalled_flows(&mut self) -> Vec<FlowId> {
+        self.work.members_visited += self.slots.len() as u64;
         let mut out: Vec<FlowId> = self.starved.iter().copied().collect();
         for (i, slot) in self.slots.iter().enumerate() {
             let Some(slot) = slot else { continue };
@@ -775,6 +790,7 @@ impl VtFairNetwork {
     /// (normally maintained incrementally). Kept as a debugging aid and
     /// for API parity with the fluid solver's `recompute`.
     pub fn recompute(&mut self) {
+        self.work.members_visited += self.slots.len() as u64;
         for g in &mut self.groups {
             g.weight = 0.0;
             g.members = 0;
@@ -791,6 +807,11 @@ impl VtFairNetwork {
         for g in &mut self.groups {
             g.settle_rate();
         }
+    }
+
+    /// Heap operations and arena visits so far (see [`Work`]).
+    pub fn work(&self) -> Work {
+        self.work
     }
 
     /// Validates an external id against the arena.
@@ -913,6 +934,31 @@ mod tests {
         assert!((pa.remaining - 800.0).abs() < 1e-6);
         let pb = net.progress(b).unwrap();
         assert!((pb.remaining - 600.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn work_counts_every_heap_operation() {
+        let mut net = VtFairNetwork::new();
+        let c = net.add_constraint(100.0);
+        let a = net.add_flow(FlowSpec::new(100.0, 1.0, f64::INFINITY, vec![c]));
+        net.pause_flow(a);
+        net.resume_flow(a);
+        net.advance(SimDuration::from_secs(2.0));
+        assert_eq!(net.drain_completed(), vec![a]);
+        net.stalled_flows();
+        // Insert and resume push; the pause left one stale entry behind,
+        // skipped before the live one pops.
+        assert_eq!(
+            net.work(),
+            Work {
+                flows_completed: 1,
+                heap_pushes: 2,
+                heap_pops: 1,
+                stale_skipped: 1,
+                members_visited: 1,
+                ..Work::default()
+            }
+        );
     }
 
     #[test]

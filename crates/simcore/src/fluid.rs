@@ -34,6 +34,7 @@
 //! depends only on that component's flows and capacities.
 
 use crate::time::SimDuration;
+use crate::work::Work;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Numerical tolerance for byte counts and rates.
@@ -129,6 +130,8 @@ pub struct FluidNetwork {
     dirty_lone: BTreeSet<FlowId>,
     /// Completions since the last [`FluidNetwork::drain_completed`].
     newly_completed: Vec<FlowId>,
+    /// Re-solves, re-rates and scans so far.
+    work: Work,
 }
 
 impl FluidNetwork {
@@ -290,6 +293,7 @@ impl FluidNetwork {
     /// Aggregate rate (bytes/s) over all active flows.
     pub fn aggregate_rate(&mut self) -> f64 {
         self.ensure_rates();
+        self.work.flows_scanned += self.flows.len() as u64;
         self.flows.values().map(|f| f.rate).sum()
     }
 
@@ -297,6 +301,7 @@ impl FluidNetwork {
     /// `None` if no active flow is making progress.
     pub fn time_to_next_completion(&mut self) -> Option<SimDuration> {
         self.ensure_rates();
+        self.work.flows_scanned += self.flows.len() as u64;
         let mut best: Option<f64> = None;
         for f in self.flows.values() {
             if f.paused || f.remaining <= completion_threshold(f.spec.bytes) || f.rate <= EPS {
@@ -324,6 +329,7 @@ impl FluidNetwork {
         if secs <= 0.0 {
             return;
         }
+        self.work.flows_scanned += self.flows.len() as u64;
         let mut completed: Vec<FlowId> = Vec::new();
         for (id, f) in self.flows.iter_mut() {
             if f.paused || f.rate <= EPS {
@@ -345,6 +351,7 @@ impl FluidNetwork {
             }
         }
         // Completions free capacity for the survivors of their component.
+        self.work.flows_completed += completed.len() as u64;
         for id in completed {
             self.newly_completed.push(id);
             self.leave(id);
@@ -363,6 +370,7 @@ impl FluidNetwork {
     /// session driving the network would hang without detecting them.
     pub fn stalled_flows(&mut self) -> Vec<FlowId> {
         self.ensure_rates();
+        self.work.flows_scanned += self.flows.len() as u64;
         self.flows
             .iter()
             .filter(|(_, f)| {
@@ -384,6 +392,7 @@ impl FluidNetwork {
     /// Forces a full rate recomputation (normally done incrementally).
     pub fn recompute(&mut self) {
         self.dirty_constraints.extend(0..self.capacities.len());
+        self.work.flows_scanned += self.flows.len() as u64;
         for (id, f) in &self.flows {
             if !f.spec.constraints.is_empty() {
                 continue;
@@ -391,6 +400,11 @@ impl FluidNetwork {
             self.dirty_lone.insert(*id);
         }
         self.ensure_rates();
+    }
+
+    /// Re-solves, re-rates and scans so far (see [`Work`]).
+    pub fn work(&self) -> Work {
+        self.work
     }
 
     /// Whether a flow currently takes part in the allocation.
@@ -455,6 +469,7 @@ impl FluidNetwork {
                 // The constraint stopped binding (capacity raised to
                 // infinity): each member's residual component — and members
                 // left without any binding constraint — must be re-solved.
+                self.work.flows_scanned += self.members[seed].len() as u64;
                 for id in self.members[seed].clone() {
                     let first_finite = self.flows[&id]
                         .spec
@@ -480,6 +495,7 @@ impl FluidNetwork {
         let Some(f) = self.flows.get_mut(&id) else {
             return;
         };
+        self.work.flows_rerated += 1;
         let active = !f.paused && f.remaining > completion_threshold(f.spec.bytes);
         f.rate = if active && f.spec.rate_cap.is_finite() {
             f.spec.rate_cap
@@ -499,6 +515,8 @@ impl FluidNetwork {
         if subset.is_empty() {
             return;
         }
+        self.work.components_solved += 1;
+        self.work.flows_rerated += subset.len() as u64;
         let rates = Self::solve(&self.capacities, &self.flows, &subset);
         for (id, rate) in subset.iter().zip(rates) {
             // simlint: allow(R4, collect_component only returns ids present in the flow map)

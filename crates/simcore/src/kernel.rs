@@ -36,6 +36,7 @@ use crate::event::{EventId, EventQueue};
 use crate::fair::VtFairNetwork;
 use crate::fluid::FluidNetwork;
 use crate::time::{SimDuration, SimTime};
+use crate::work::Work;
 
 /// The continuous half of a simulation: state that evolves on its own
 /// between discrete events and occasionally produces decision points of its
@@ -55,6 +56,12 @@ pub trait Medium {
 
     /// Advances the medium's internal state by `dt`.
     fn advance(&mut self, dt: SimDuration);
+
+    /// The work the medium has done so far; media that count nothing
+    /// report zeros.
+    fn work(&self) -> Work {
+        Work::default()
+    }
 }
 
 /// The trivial medium: no continuous state.
@@ -77,6 +84,9 @@ impl Medium for FluidNetwork {
     fn advance(&mut self, dt: SimDuration) {
         FluidNetwork::advance(self, dt);
     }
+    fn work(&self) -> Work {
+        FluidNetwork::work(self)
+    }
 }
 
 impl Medium for VtFairNetwork {
@@ -87,6 +97,9 @@ impl Medium for VtFairNetwork {
     fn advance(&mut self, dt: SimDuration) {
         VtFairNetwork::advance(self, dt);
     }
+    fn work(&self) -> Work {
+        VtFairNetwork::work(self)
+    }
 }
 
 /// The event kernel: a deterministic clock driving an [`EventQueue`] and a
@@ -95,6 +108,8 @@ pub struct Kernel<E, M: Medium = ()> {
     queue: EventQueue<E>,
     medium: M,
     now: SimTime,
+    /// Queue traffic so far (the event fields of [`Work`]).
+    events: Work,
 }
 
 impl<E> Kernel<E> {
@@ -112,6 +127,7 @@ impl<E, M: Medium> Kernel<E, M> {
             queue: EventQueue::new(),
             medium,
             now: SimTime::ZERO,
+            events: Work::default(),
         }
     }
 
@@ -135,18 +151,26 @@ impl<E, M: Medium> Kernel<E, M> {
     /// Schedules `payload` at `at` (clamped to the present — the past is
     /// immutable) and returns a cancellation handle.
     pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
+        self.events.events_scheduled += 1;
         self.queue.schedule(at.max(self.now), payload)
     }
 
     /// Schedules `payload` after `delay`.
     pub fn schedule_after(&mut self, delay: SimDuration, payload: E) -> EventId {
-        self.queue.schedule(self.now + delay, payload)
+        self.schedule(self.now + delay, payload)
     }
 
     /// Cancels a scheduled event; `false` if it already fired or was
     /// already cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
+        let cancelled = self.queue.cancel(id);
+        self.events.events_cancelled += cancelled as u64;
+        cancelled
+    }
+
+    /// The work done so far: queue traffic plus the medium's own counts.
+    pub fn work(&self) -> Work {
+        self.events + self.medium.work()
     }
 
     /// Number of scheduled (live) events.
@@ -191,6 +215,7 @@ impl<E, M: Medium> Kernel<E, M> {
     /// Pops the next event due at (or before) the present, if any.
     pub fn pop_due(&mut self) -> Option<E> {
         if self.queue.peek_time()? <= self.now {
+            self.events.events_popped += 1;
             self.queue.pop().map(|(_, e)| e)
         } else {
             None
@@ -223,6 +248,15 @@ mod tests {
         assert_eq!(kernel.pop_due(), Some("b"));
         assert_eq!(kernel.advance_to_next(), None);
         assert_eq!(kernel.now(), t(2.0));
+        assert_eq!(
+            kernel.work(),
+            Work {
+                events_scheduled: 3,
+                events_popped: 2,
+                events_cancelled: 1,
+                ..Work::default()
+            }
+        );
     }
 
     #[test]

@@ -23,6 +23,8 @@
 //! * [`stats`] — time series, online summaries and histograms used by the
 //!   experiment harnesses.
 //! * [`rng`] — a small deterministic PRNG for workload synthesis.
+//! * [`work`] — [`Work`], deterministic counts of kernel events and medium
+//!   visits: the cost of a simulation, measured without a clock.
 //!
 //! The higher layers compose these pieces: the `pfs` crate builds storage
 //! servers and caches out of constraints, the `mpiio` crate turns
@@ -65,6 +67,7 @@ pub mod observe;
 pub mod rng;
 pub mod stats;
 pub mod time;
+pub mod work;
 
 pub use event::{EventId, EventQueue};
 pub use fair::{SharingModel, VtFairNetwork};
@@ -74,3 +77,4 @@ pub use observe::{EventLog, Stamped};
 pub use rng::DetRng;
 pub use stats::{Histogram, Summary, TimeSeries};
 pub use time::{SimDuration, SimTime, TICKS_PER_SEC};
+pub use work::Work;

@@ -120,23 +120,13 @@ impl ScopeConfig {
                 // whose app order feeds golden-trace determinism.
                 "workloads",
             ]),
-            wall_clock_exempt: vec![
-                (
-                    "iobench".to_string(),
-                    "measures host wall-clock for scale-trajectory throughput".to_string(),
-                ),
-                (
-                    "bench".to_string(),
-                    "figure/scale binaries report host wall-clock runtimes".to_string(),
-                ),
-                (
-                    "serve".to_string(),
-                    "HTTP service: request-log latency, socket timeouts, and the \
+            wall_clock_exempt: vec![(
+                "serve".to_string(),
+                "HTTP service: request-log latency, socket timeouts, and the \
                      reactor/connection idle, slow-loris, and shutdown deadlines \
                      are host time"
-                        .to_string(),
-                ),
-            ],
+                    .to_string(),
+            )],
             float_accum: own(&["simcore"]),
         }
     }
@@ -614,7 +604,7 @@ mod tests {
     fn r2_skips_tests_and_exempt_crates() {
         let src = "fn f() { let t = Instant::now(); }";
         assert_eq!(scan_file(&input("pfs", src)).len(), 1);
-        assert!(scan_file(&input("iobench", src)).is_empty());
+        assert!(scan_file(&input("serve", src)).is_empty());
         let test_src = "#[test]\nfn t() { let t = Instant::now(); }";
         assert!(scan_file(&input("pfs", test_src)).is_empty());
     }
@@ -633,7 +623,12 @@ mod tests {
         // serve is exempt (host-time request logs) …
         assert!(scope.wall_clock_exempt_reason("serve").is_some());
         assert!(scan_file(&input("serve", src)).is_empty());
-        // … but a crate added to the workspace tomorrow is checked until
+        // … the figure and sweep crates count work instead of timing it …
+        for krate in ["bench", "iobench"] {
+            assert!(scope.is_wall_clock_checked(krate), "{krate}");
+            assert_eq!(scan_file(&input(krate, src)).len(), 1, "{krate}");
+        }
+        // … and a crate added to the workspace tomorrow is checked until
         // someone argues its exemption here.
         assert!(scope.is_wall_clock_checked("some-future-crate"));
         assert_eq!(scan_file(&input("some-future-crate", src)).len(), 1);

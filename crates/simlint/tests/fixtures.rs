@@ -75,7 +75,15 @@ fn r2_fixture_fires_on_marked_lines() {
 fn r2_fixture_fires_in_every_sim_crate_and_stays_quiet_in_serve() {
     let source = fixture("r2_wallclock.rs");
     // Still enforced across the simulation stack …
-    for sim_crate in ["simcore", "core", "pfs", "mpiio", "workloads"] {
+    for sim_crate in [
+        "simcore",
+        "core",
+        "pfs",
+        "mpiio",
+        "workloads",
+        "iobench",
+        "bench",
+    ] {
         let findings = lint_source(
             &format!("crates/{sim_crate}/src/bad.rs"),
             sim_crate,

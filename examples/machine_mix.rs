@@ -42,11 +42,12 @@ fn main() -> Result<(), Error> {
     };
     for (strategy, run) in strategies.iter().zip(&runs) {
         println!(
-            "{:<16} makespan {:7.1}s   CPU·s wasted {:6.2} M   (simulated in {:?})",
+            "{:<16} makespan {:7.1}s   CPU·s wasted {:6.2} M   ({} kernel events, {} medium visits)",
             strategy.label(),
             run.report.makespan.as_secs(),
             waste(&run.report, &run.alone),
-            run.wall,
+            run.work.kernel_events(),
+            run.work.medium_visits(),
         );
     }
     println!(

@@ -270,3 +270,78 @@ fn shared_transport_matches_the_goldens_too() {
         );
     }
 }
+
+/// The work counts of `scenario` in column order: events scheduled,
+/// popped, cancelled; flows completed; components solved, flows
+/// re-rated, flows scanned; heap pushes, heap pops, stale entries
+/// skipped, members visited.
+fn work_counts(scenario: &Scenario) -> [u64; 11] {
+    use calciom_stack::calciom::NullObserver;
+
+    let (_, _, w) = scenario.run_with(&mut NullObserver).unwrap();
+    [
+        w.events_scheduled,
+        w.events_popped,
+        w.events_cancelled,
+        w.flows_completed,
+        w.components_solved,
+        w.flows_rerated,
+        w.flows_scanned,
+        w.heap_pushes,
+        w.heap_pops,
+        w.stale_skipped,
+        w.members_visited,
+    ]
+}
+
+/// Gate on the simulator's cost: the `Work` every golden scenario does
+/// is pinned on the max-min medium (kernel events, re-solves, re-rates,
+/// scans) and on the fair-fast medium (kernel events, heap operations,
+/// arena visits), and the 1-machine tree must do exactly the max-min
+/// work. The counts are deterministic like the traces, so any change to
+/// how much work the kernel or a medium does per scenario shows up here
+/// as an exact diff, whether or not the schedule moved.
+#[test]
+fn work_counts_match_the_pinned_goldens() {
+    use calciom_stack::calciom::{ClusterSpec, MachineSpec, SharingModel};
+
+    #[rustfmt::skip]
+    let pinned: &[(&str, [[u64; 11]; 2])] = &[
+        ("interfere", [[68, 68, 0, 804, 84, 1212, 3744, 0, 0, 0, 0], [68, 68, 0, 804, 0, 0, 0, 804, 804, 0, 0]]),
+        ("fcfs", [[69, 69, 0, 804, 67, 804, 2484, 0, 0, 0, 0], [69, 69, 0, 804, 0, 0, 0, 804, 804, 0, 0]]),
+        ("interrupt", [[70, 70, 0, 804, 67, 804, 2484, 0, 0, 0, 0], [70, 70, 0, 804, 0, 0, 0, 804, 804, 0, 0]]),
+        ("delay", [[69, 69, 0, 804, 83, 1188, 3636, 0, 0, 0, 0], [69, 69, 0, 804, 0, 0, 0, 804, 804, 0, 0]]),
+        ("dynamic-file", [[4, 4, 0, 60, 5, 60, 216, 0, 0, 0, 0], [4, 4, 0, 60, 0, 0, 0, 60, 60, 0, 0]]),
+        ("interrupt-file", [[4, 4, 0, 60, 5, 60, 216, 0, 0, 0, 0], [4, 4, 0, 60, 0, 0, 0, 60, 60, 0, 0]]),
+        ("periodic-cache", [[8, 8, 0, 280, 10, 490, 2205, 0, 0, 0, 0], [8, 8, 0, 280, 0, 0, 0, 280, 280, 0, 0]]),
+        ("delay-phases", [[8, 7, 0, 48, 4, 48, 252, 0, 0, 0, 0], [8, 7, 0, 48, 0, 0, 0, 48, 48, 0, 0]]),
+        ("dynamic-3way", [[197, 197, 0, 768, 192, 768, 2328, 0, 0, 0, 0], [197, 197, 0, 768, 0, 0, 0, 768, 768, 0, 0]]),
+    ];
+    let mut failures = Vec::new();
+    for (label, _, scenario) in matrix() {
+        let mut fair = scenario.clone();
+        fair.medium = SharingModel::FairFast;
+        let mut tree = scenario.clone();
+        tree.cluster = Some(ClusterSpec::new(
+            1,
+            vec![MachineSpec {
+                latency: SimDuration::ZERO,
+                apps: tree.apps.iter().map(|a| a.id).collect(),
+            }],
+        ));
+        let got = [work_counts(&scenario), work_counts(&fair)];
+        let want = pinned.iter().find(|(l, _)| *l == label).map(|(_, w)| *w);
+        if want != Some(got) {
+            failures.push(format!("(\"{label}\", {got:?}),"));
+        }
+        let on_tree = work_counts(&tree);
+        if on_tree != got[0] {
+            failures.push(format!("{label}: 1-machine tree did {on_tree:?}"));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "work counts diverged from the pinned goldens ([max-min, fair-fast] per scenario):\n{}",
+        failures.join("\n")
+    );
+}
