@@ -5,19 +5,24 @@
 //! resolve experiments through the [`Registry`], so binaries never
 //! duplicate argument handling or experiment wiring.
 //!
-//! Flags (combinable, honoured by every experiment that supports them):
+//! Flags (combinable). Every experiment reads `--quick`; each one
+//! declares which of the others it reads ([`Experiment::flags`]), and a
+//! flag the selected experiment does not read is rejected before anything
+//! runs:
 //!
 //! * `--quick` — reduced parameter sweeps (the CI configuration);
-//! * `--trace` — record the experiment's key sessions, verify each trace
-//!   survives its text codec exactly (replay being a pure fold, the
-//!   decoded copy then also replays to the same report), and print a
-//!   `codec round-trip OK` line per trace;
-//! * `--timeline` — print the derived Gantt/bandwidth timeline of each
-//!   key session;
-//! * `--medium <label>` — run mix-based sweeps on the named
+//! * `--trace` (fig05) — record the experiment's key sessions, verify
+//!   each trace survives its text codec exactly (replay being a pure
+//!   fold, the decoded copy then also replays to the same report), and
+//!   print a `codec round-trip OK` line per trace;
+//! * `--timeline` (fig05) — print the derived Gantt/bandwidth timeline of
+//!   each key session;
+//! * `--policy <spec>` (fig14, repeatable) — restrict the compared
+//!   arbitration policies;
+//! * `--medium <label>` (fig14) — run the sweep on the named
 //!   bandwidth-sharing medium (`max-min` or `fair-fast`).
 
-use crate::experiment::RunOptions;
+use crate::experiment::{Experiment, RunOptions};
 use crate::Registry;
 use calciom::{SharingModel, Trace};
 use std::fmt;
@@ -34,6 +39,13 @@ pub enum FlagError {
     MissingMediumLabel,
     /// `--medium` with a label no sharing medium carries.
     UnknownMedium(String),
+    /// A flag the selected experiment does not read.
+    NotRead {
+        /// The flag, as typed on the command line.
+        flag: &'static str,
+        /// The experiment's registry name.
+        experiment: &'static str,
+    },
 }
 
 impl fmt::Display for FlagError {
@@ -58,6 +70,9 @@ impl fmt::Display for FlagError {
                     f,
                     "unknown medium '{label}' (expected max-min or fair-fast)"
                 )
+            }
+            FlagError::NotRead { flag, experiment } => {
+                write!(f, "{experiment} does not read {flag}")
             }
         }
     }
@@ -132,11 +147,28 @@ pub fn parse_args(
     Ok((opts, names))
 }
 
+/// Rejects the first flag in `opts` that `experiment` does not read.
+pub fn check_flags(experiment: &dyn Experiment, opts: &RunOptions) -> Result<(), FlagError> {
+    match opts
+        .flags()
+        .into_iter()
+        .find(|flag| !experiment.flags().contains(flag))
+    {
+        Some(flag) => Err(FlagError::NotRead {
+            flag: flag.name(),
+            experiment: experiment.name(),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Runs the given experiments in order, printing each rendered figure and
-/// any requested observability artifacts. Stops with a failure exit code
-/// at the first unknown name, failed run, or trace that does not survive
-/// its own codec.
+/// any requested observability artifacts. Fails before anything runs on
+/// an unknown name or a flag one of the experiments does not read
+/// ([`FlagError::NotRead`]); otherwise stops with a failure exit code at
+/// the first failed run or trace that does not survive its own codec.
 pub fn run_named(registry: &Registry, names: &[&str], opts: &RunOptions) -> ExitCode {
+    let mut experiments = Vec::with_capacity(names.len());
     for name in names {
         let Some(experiment) = registry.get(name) else {
             eprintln!(
@@ -144,6 +176,17 @@ pub fn run_named(registry: &Registry, names: &[&str], opts: &RunOptions) -> Exit
             );
             return ExitCode::FAILURE;
         };
+        if let Err(error) = check_flags(experiment, opts) {
+            eprintln!("{error}");
+            return ExitCode::FAILURE;
+        }
+        experiments.push(experiment);
+    }
+    for experiment in experiments {
+        let name = experiment.name();
+        if names.len() > 1 {
+            eprintln!("running {name} ...");
+        }
         match experiment.run_with(opts) {
             Ok(output) => {
                 println!("{}", output.figure.render());
@@ -197,12 +240,8 @@ fn verify_trace(name: &str, label: &str, trace: &Trace) -> bool {
 /// * `all_figures list` — print the registered names and descriptions;
 /// * `all_figures list-policies` — print the arbitration-policy registry;
 /// * `all_figures <name>...` — run the named experiments only;
-/// * `--quick` / `--trace` / `--timeline` (combinable with the above) —
-///   reduced sweeps / recorded+verified traces / printed timelines;
-/// * `--policy <spec>` (repeatable) — restrict policy-comparison
-///   experiments to the named arbitration policies;
-/// * `--medium <label>` — run mix-based sweeps on the named
-///   bandwidth-sharing medium.
+/// * the shared flags of the module docs, each accepted only if every
+///   selected experiment reads it.
 pub fn all_figures_main() -> ExitCode {
     let (opts, tokens) = match parse_args(std::env::args().skip(1)) {
         Ok(parsed) => parsed,
@@ -232,17 +271,11 @@ pub fn all_figures_main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let names: Vec<&str> = tokens.iter().map(String::as_str).collect();
-    if names.is_empty() {
-        for name in registry.names() {
-            eprintln!("running {name} ...");
-            let code = run_named(&registry, &[name], &opts);
-            if code != ExitCode::SUCCESS {
-                return code;
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
+    let names: Vec<&str> = if tokens.is_empty() {
+        registry.names()
+    } else {
+        tokens.iter().map(String::as_str).collect()
+    };
     run_named(&registry, &names, &opts)
 }
 
@@ -363,6 +396,50 @@ mod tests {
         // A malformed spec surfaces as a failing exit code, not a crash.
         let bad = RunOptions::new(true).with_policy("rr(5s");
         let code = run_named(&registry, &["fig14_policies"], &bad);
+        assert_eq!(code, ExitCode::FAILURE);
+    }
+
+    #[test]
+    fn flags_an_experiment_does_not_read_are_rejected() {
+        let registry = Registry::standard();
+        let fig07 = registry.get("fig07_fcfs").unwrap();
+        let medium = RunOptions::new(true).with_medium(SharingModel::FairFast);
+        assert_eq!(
+            check_flags(fig07, &medium),
+            Err(FlagError::NotRead {
+                flag: "--medium",
+                experiment: "fig07_fcfs",
+            })
+        );
+        assert_eq!(
+            check_flags(fig07, &medium).unwrap_err().to_string(),
+            "fig07_fcfs does not read --medium"
+        );
+        assert_eq!(check_flags(fig07, &RunOptions::new(true)), Ok(()));
+        // fig05 reads only the observation flags, fig14 only its sweep's.
+        let fig05 = registry.get("fig05_timeline").unwrap();
+        let fig14 = registry.get("fig14_policies").unwrap();
+        let observed = RunOptions::new(true).with_trace().with_timeline();
+        let policy = RunOptions::new(true).with_policy("fcfs");
+        assert_eq!(check_flags(fig05, &observed), Ok(()));
+        assert_eq!(check_flags(fig14, &policy), Ok(()));
+        assert_eq!(check_flags(fig14, &medium), Ok(()));
+        assert!(matches!(
+            check_flags(fig14, &observed),
+            Err(FlagError::NotRead {
+                flag: "--trace",
+                ..
+            })
+        ));
+        assert!(matches!(
+            check_flags(fig05, &policy),
+            Err(FlagError::NotRead {
+                flag: "--policy",
+                ..
+            })
+        ));
+        // The CLI path fails before running anything, for every name.
+        let code = run_named(&registry, &["fig14_policies", "fig07_fcfs"], &medium);
         assert_eq!(code, ExitCode::FAILURE);
     }
 

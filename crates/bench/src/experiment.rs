@@ -12,6 +12,32 @@ use crate::figures;
 use crate::figures::FigureOutput;
 use calciom::{Error, PolicySpec, SharingModel, Timeline, Trace};
 
+/// A run flag that only some experiments read. `--quick` is not one: every
+/// experiment reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--trace`.
+    Trace,
+    /// `--timeline`.
+    Timeline,
+    /// `--policy <spec>`.
+    Policy,
+    /// `--medium <label>`.
+    Medium,
+}
+
+impl Flag {
+    /// The flag as typed on the command line.
+    pub fn name(self) -> &'static str {
+        match self {
+            Flag::Trace => "--trace",
+            Flag::Timeline => "--timeline",
+            Flag::Policy => "--policy",
+            Flag::Medium => "--medium",
+        }
+    }
+}
+
 /// How an experiment should be run, and which observability artifacts it
 /// should attach to its output.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -68,6 +94,19 @@ impl RunOptions {
         self
     }
 
+    /// The experiment-specific flags these options set, in [`Flag`] order.
+    pub fn flags(&self) -> Vec<Flag> {
+        [
+            (Flag::Trace, self.trace),
+            (Flag::Timeline, self.timeline),
+            (Flag::Policy, !self.policies.is_empty()),
+            (Flag::Medium, self.medium.is_some()),
+        ]
+        .into_iter()
+        .filter_map(|(flag, set)| set.then_some(flag))
+        .collect()
+    }
+
     /// Parses the collected `--policy` texts into [`PolicySpec`]s. A
     /// malformed spec is a typed configuration error.
     pub fn parsed_policies(&self) -> Result<Vec<PolicySpec>, Error> {
@@ -115,6 +154,12 @@ pub trait Experiment: Sync {
     /// Executes the experiment. `quick` runs the reduced parameter sweep
     /// used in CI; `false` reproduces the figure at full resolution.
     fn run(&self, quick: bool) -> Result<FigureOutput, Error>;
+
+    /// The flags beyond `--quick` that [`Experiment::run_with`] reads. The
+    /// CLI rejects any other flag for this experiment.
+    fn flags(&self) -> &'static [Flag] {
+        &[]
+    }
 
     /// Executes the experiment with observability options. The default
     /// delegates to [`Experiment::run`] and attaches nothing; experiments

@@ -15,7 +15,7 @@
 //! interruption punching a hole into A's plateau.
 
 use super::{FigureOutput, MB};
-use crate::experiment::{Experiment, ExperimentOutput, RunOptions};
+use crate::experiment::{Experiment, ExperimentOutput, Flag, RunOptions};
 use calciom::{
     AccessPattern, AppConfig, AppId, Error, Granularity, PfsConfig, Scenario, Session,
     SessionReport, Strategy, Timeline, TimelineAggregator, Trace, TraceRecorder,
@@ -37,6 +37,10 @@ impl Experiment for Fig05 {
 
     fn run(&self, quick: bool) -> Result<FigureOutput, Error> {
         Ok(self.run_with(&RunOptions::new(quick))?.figure)
+    }
+
+    fn flags(&self) -> &'static [Flag] {
+        &[Flag::Trace, Flag::Timeline]
     }
 
     fn run_with(&self, opts: &RunOptions) -> Result<ExperimentOutput, Error> {

@@ -25,7 +25,7 @@
 //! configuration for machine-scale sweeps.
 
 use super::FigureOutput;
-use crate::experiment::{Experiment, ExperimentOutput, RunOptions};
+use crate::experiment::{Experiment, ExperimentOutput, Flag, RunOptions};
 use calciom::{EfficiencyMetric, Error, PolicySpec, SharingModel};
 use iobench::{run_scenarios_sharded, BaselineCache, FigureData, Series};
 use workloads::MachineMix;
@@ -44,6 +44,10 @@ impl Experiment for Fig14 {
 
     fn run(&self, quick: bool) -> Result<FigureOutput, Error> {
         run_specs(quick, &policy_specs(), SharingModel::default())
+    }
+
+    fn flags(&self) -> &'static [Flag] {
+        &[Flag::Policy, Flag::Medium]
     }
 
     fn run_with(&self, opts: &RunOptions) -> Result<ExperimentOutput, Error> {

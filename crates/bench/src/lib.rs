@@ -17,5 +17,5 @@ pub mod cli;
 pub mod experiment;
 pub mod figures;
 
-pub use experiment::{Experiment, ExperimentOutput, Registry, RunOptions};
+pub use experiment::{Experiment, ExperimentOutput, Flag, Registry, RunOptions};
 pub use figures::FigureOutput;

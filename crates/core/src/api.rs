@@ -25,9 +25,10 @@
 //! * [`SharedTransport`] — `Arc<Mutex<Arbiter>>`, `Send + Sync`, for
 //!   coordinators shared between threads.
 //!
-//! [`Session`](crate::Session) uses exactly this code path internally; the
-//! standalone `Coordinator` exists so that library users can embed CALCioM
-//! coordination in their own drivers.
+//! [`Session`](crate::Session) never builds a `Coordinator`: it shares the
+//! [`CoordinationTransport`] seam but drives the transport itself, from its
+//! own event handlers. The standalone `Coordinator` exists so that library
+//! users can embed CALCioM coordination in their own drivers.
 
 use crate::arbiter::Arbiter;
 use crate::error::ConfigError;

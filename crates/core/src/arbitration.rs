@@ -191,11 +191,6 @@ impl ArbiterView<'_> {
         self.active.iter().copied()
     }
 
-    /// Number of applications currently granted access.
-    pub fn active_len(&self) -> usize {
-        self.active.len()
-    }
-
     /// Parked applications with the reason they parked, in queue
     /// (arrival) order.
     pub fn parked(&self) -> impl Iterator<Item = (AppId, ParkReason)> + '_ {
@@ -967,16 +962,6 @@ impl PolicyRegistry {
             .find(|e| e.name == spec.name)
             .ok_or_else(|| PolicyError::Unknown(spec.name.clone()))?;
         (entry.build)(spec, dynamic)
-    }
-
-    /// Parses a spec string and instantiates it in one step — the entry
-    /// point of the bench CLI's `--policy` flag.
-    pub fn build_text(
-        &self,
-        text: &str,
-        dynamic: &DynamicPolicy,
-    ) -> Result<Box<dyn ArbitrationPolicy>, PolicyError> {
-        self.build(&PolicySpec::from_text(text)?, dynamic)
     }
 
     /// Canonical example specs, one per registered policy, with the

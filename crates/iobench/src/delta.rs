@@ -120,11 +120,6 @@ impl DeltaSweepResult {
         self.points.iter().map(|p| p.b_factor).fold(1.0, f64::max)
     }
 
-    /// Maximum interference factor observed for A.
-    pub fn max_a_factor(&self) -> f64 {
-        self.points.iter().map(|p| p.a_factor).fold(1.0, f64::max)
-    }
-
     /// The point at the given dt, if it was part of the sweep.
     pub fn at(&self, dt: f64) -> Option<&DeltaPoint> {
         self.points.iter().find(|p| (p.dt - dt).abs() < 1e-9)

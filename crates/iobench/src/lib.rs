@@ -68,8 +68,8 @@ pub use compare::{
 pub use delta::{dt_range, run_delta_sweep, DeltaPoint, DeltaSweepConfig, DeltaSweepResult};
 pub use expected::{expected_factors, expected_times, ExpectedTimes};
 pub use parallel::{
-    parallel_map, parallel_map_owned, run_scenarios, run_scenarios_sharded,
-    run_scenarios_sharded_streamed, run_scenarios_traced, ShardedRun,
+    parallel_map, parallel_map_owned, run_scenarios, run_scenarios_sharded, run_scenarios_traced,
+    ShardedRun,
 };
 pub use periodic::{run_periodic, PeriodicConfig, PeriodicResult};
 pub use series::{FigureData, Series};

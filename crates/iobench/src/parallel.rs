@@ -20,8 +20,6 @@ use calciom::{
 };
 use pfs::AppId;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::thread;
 
 /// Applies `f` to every item of `items`, distributing the work over up to
@@ -147,8 +145,13 @@ pub struct ShardedRun {
 /// [`run_scenarios`] for machine-scale sweeps: the scenario list is split
 /// into `shards` contiguous batches, each batch executes on its own worker
 /// thread, and every run also resolves its applications' `T_alone`
-/// baselines through `cache`. The materialized form of
-/// [`run_scenarios_sharded_streamed`].
+/// baselines through `cache`.
+///
+/// Every scenario is validated up front, so a configuration error in
+/// *any* scenario returns `Err` before a single simulation starts. A
+/// runtime [`Error`] does not stop the other shards; the first one in
+/// input order is returned. Each [`ShardedRun`] is bit-identical to a
+/// sequential run of the same scenario.
 ///
 /// Passing [`BaselineCache::global`] (or any one cache) shares baselines
 /// across all shards — concurrent lookups of the same `(app, pfs)` pair
@@ -161,61 +164,12 @@ pub fn run_scenarios_sharded(
     shards: usize,
     cache: &BaselineCache,
 ) -> Result<Vec<ShardedRun>, Error> {
-    let mut runs = Vec::with_capacity(scenarios.len());
-    run_scenarios_sharded_streamed(scenarios, shards, cache, |run| runs.push(run))?;
-    Ok(runs)
-}
-
-/// [`run_scenarios_sharded`] with incremental delivery: results are
-/// handed to `sink` **in input order**, each as soon as it (and every
-/// earlier one) has finished, instead of materializing the full result
-/// vector. This is what lets `calciom-serve` stream a machine-scale
-/// `/v1/batch` response while later shards are still simulating.
-///
-/// Every scenario is validated up front, so a configuration error in
-/// *any* scenario returns `Err` before `sink` sees a single result. A
-/// runtime [`Error`] aborts the stream: `sink` has then been called for
-/// exactly the runs before the first failing one, in input order, and
-/// that run's error is returned. Each delivered [`ShardedRun`] is
-/// bit-identical to a sequential run of the same scenario.
-pub fn run_scenarios_sharded_streamed(
-    scenarios: &[Scenario],
-    shards: usize,
-    cache: &BaselineCache,
-    mut sink: impl FnMut(ShardedRun),
-) -> Result<(), Error> {
     validate_all(scenarios)?;
-    let (tx, rx) = mpsc::channel::<(usize, Result<ShardedRun, Error>)>();
-    // Set once the receiver has stopped listening (a run failed): the
-    // remaining runs are skipped rather than simulated for nobody.
-    let abandoned = AtomicBool::new(false);
-    thread::scope(|scope| {
-        let abandoned = &abandoned;
-        // The fan-out runs off this thread, so the sink (which need not
-        // be `Send`) is fed here while later shards are still simulating.
-        scope.spawn(move || {
-            let indexed: Vec<(usize, &Scenario)> = scenarios.iter().enumerate().collect();
-            parallel_map_owned(indexed, shards, |(index, scenario)| {
-                if abandoned.load(Ordering::Relaxed) {
-                    return;
-                }
-                if tx.send((index, run_sharded(scenario, cache))).is_err() {
-                    abandoned.store(true, Ordering::Relaxed);
-                }
-            });
-        });
-
-        let mut done: BTreeMap<usize, Result<ShardedRun, Error>> = BTreeMap::new();
-        let mut next = 0usize;
-        for (index, result) in rx {
-            done.insert(index, result);
-            while let Some(result) = done.remove(&next) {
-                sink(result?);
-                next += 1;
-            }
-        }
-        Ok(())
+    parallel_map_owned(scenarios.iter().collect(), shards, |scenario| {
+        run_sharded(scenario, cache)
     })
+    .into_iter()
+    .collect()
 }
 
 /// Runs one scenario of a sharded sweep and resolves its baselines.

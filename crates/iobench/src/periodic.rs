@@ -36,14 +36,6 @@ pub struct PeriodicResult {
 }
 
 impl PeriodicResult {
-    /// Mean throughput of application A over all iterations.
-    pub fn a_mean(&self) -> f64 {
-        if self.a_throughputs.is_empty() {
-            return 0.0;
-        }
-        self.a_throughputs.iter().sum::<f64>() / self.a_throughputs.len() as f64
-    }
-
     /// Smallest per-iteration throughput of application A (the collapsed
     /// iterations of Fig. 3b).
     pub fn a_min(&self) -> f64 {

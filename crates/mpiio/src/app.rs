@@ -62,23 +62,11 @@ impl AppConfig {
         self
     }
 
-    /// Sets the start time of the first phase.
-    pub fn with_start(mut self, start: SimTime) -> Self {
-        self.start = start;
-        self
-    }
-
     /// Sets the start time in seconds (Δ-graph `dt` offsets; negative values
     /// clamp to zero — the convention used throughout the experiments is to
     /// shift the *other* application instead).
     pub fn starting_at_secs(mut self, secs: f64) -> Self {
         self.start = SimTime::from_secs(secs);
-        self
-    }
-
-    /// Sets the collective-buffering configuration.
-    pub fn with_collective(mut self, collective: CollectiveConfig) -> Self {
-        self.collective = collective;
         self
     }
 

@@ -48,7 +48,6 @@ struct FlowSlot {
 #[derive(Debug, Clone)]
 struct Transfer {
     app: AppId,
-    procs: u32,
     bytes: f64,
     per_server_bytes: f64,
     flows: Vec<FlowSlot>,
@@ -133,7 +132,6 @@ impl Network {
 pub struct Pfs {
     cfg: PfsConfig,
     net: Network,
-    sharing: SharingModel,
     servers: Vec<ServerState>,
     interconnect: ConstraintId,
     transfers: BTreeMap<TransferId, Transfer>,
@@ -177,7 +175,6 @@ impl Pfs {
         Ok(Pfs {
             cfg,
             net,
-            sharing,
             servers,
             interconnect,
             transfers: BTreeMap::new(),
@@ -195,19 +192,9 @@ impl Pfs {
         &self.cfg
     }
 
-    /// The bandwidth-sharing model this file system runs on.
-    pub fn sharing_model(&self) -> SharingModel {
-        self.sharing
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of storage servers.
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
     }
 
     /// Submits an atomic collective write of `bytes` bytes issued by
@@ -249,7 +236,6 @@ impl Pfs {
             id,
             Transfer {
                 app,
-                procs,
                 bytes,
                 per_server_bytes,
                 flows,
@@ -334,11 +320,6 @@ impl Pfs {
         self.refresh_capacities();
     }
 
-    /// Number of processes backing a transfer (as declared at submission).
-    pub fn transfer_procs(&self, id: TransferId) -> Option<u32> {
-        self.transfers.get(&id).map(|t| t.procs)
-    }
-
     /// True once every byte of the transfer has been written.
     pub fn is_complete(&self, id: TransferId) -> bool {
         self.transfers
@@ -380,17 +361,6 @@ impl Pfs {
     /// Aggregate write rate across all applications (bytes/s).
     pub fn aggregate_rate(&mut self) -> f64 {
         self.net.aggregate_rate()
-    }
-
-    /// Current write rate of one application (bytes/s).
-    pub fn app_rate(&mut self, app: AppId) -> f64 {
-        let flows: Vec<FlowId> = self
-            .transfers
-            .values()
-            .filter(|t| t.app == app)
-            .flat_map(|t| t.flows.iter().filter(|s| !s.done).map(|s| s.flow))
-            .collect();
-        flows.into_iter().map(|f| self.net.rate(f)).sum()
     }
 
     /// Total bytes written by an application across completed transfers.
@@ -526,16 +496,6 @@ impl Pfs {
     pub fn throttle_interconnect(&mut self, bw: f64) {
         assert!(bw >= 0.0 && !bw.is_nan(), "bandwidth must be non-negative");
         self.net.set_capacity(self.interconnect, bw);
-    }
-
-    /// Resets all cache state (between independent experiment repetitions).
-    pub fn reset_caches(&mut self) {
-        for server in &mut self.servers {
-            if let Some(cache) = &mut server.cache {
-                cache.reset();
-            }
-        }
-        self.refresh_capacities();
     }
 
     fn per_server_ingest(&mut self) -> Vec<f64> {

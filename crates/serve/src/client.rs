@@ -5,10 +5,9 @@
 //! * the one-shot helpers ([`request`], [`get`], [`post`]) send
 //!   `Connection: close` and read to EOF — one exchange per connection;
 //! * [`Conn`] is a persistent keep-alive connection that frames
-//!   responses by `Content-Length` **or** `Transfer-Encoding: chunked`
-//!   (de-chunking streamed `/v1/batch` bodies), supports pipelining
-//!   (send N, then receive N, in order), and leaves any pipelined
-//!   remainder buffered for the next [`Conn::recv`].
+//!   responses by `Content-Length`, supports pipelining (send N, then
+//!   receive N, in order), and leaves any pipelined remainder buffered
+//!   for the next [`Conn::recv`].
 //!
 //! Not a general HTTP client — just enough to exercise `calciom-serve`
 //! without external tooling.
@@ -28,7 +27,7 @@ pub struct HttpReply {
     pub status: u16,
     /// Headers, names lower-cased.
     pub headers: BTreeMap<String, String>,
-    /// Body bytes (de-chunked when the response streamed).
+    /// Body bytes.
     pub body: Vec<u8>,
 }
 
@@ -48,13 +47,6 @@ impl HttpReply {
     pub fn closes(&self) -> bool {
         self.header("connection")
             .is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case("close")))
-    }
-
-    /// Whether the body arrived with `Transfer-Encoding: chunked` (i.e.
-    /// the server streamed it).
-    pub fn chunked(&self) -> bool {
-        self.header("transfer-encoding")
-            .is_some_and(|v| v.eq_ignore_ascii_case("chunked"))
     }
 }
 
@@ -155,8 +147,8 @@ impl Conn {
         self.stream.flush()
     }
 
-    /// Reads the next complete response, honoring `Content-Length` or
-    /// chunked framing; surplus pipelined bytes stay buffered.
+    /// Reads the next complete response, framed by `Content-Length`;
+    /// surplus pipelined bytes stay buffered.
     pub fn recv(&mut self) -> io::Result<HttpReply> {
         let head_end = loop {
             if let Some(pos) = find_blank_line(&self.buf[self.start..]) {
@@ -167,25 +159,15 @@ impl Conn {
         let (status, headers) = parse_head(&self.buf[self.start..head_end])?;
 
         let body_start = head_end + 4;
-        let chunked = headers
-            .get("transfer-encoding")
-            .is_some_and(|v| v.eq_ignore_ascii_case("chunked"));
-        let (body, consumed) = if chunked {
-            self.read_chunked_body(body_start)?
-        } else {
-            let declared: usize = headers
-                .get("content-length")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0);
-            while self.buf.len() < body_start + declared {
-                self.fill()?;
-            }
-            (
-                self.buf[body_start..body_start + declared].to_vec(),
-                body_start + declared,
-            )
-        };
-        self.start = consumed;
+        let declared: usize = headers
+            .get("content-length")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0);
+        while self.buf.len() < body_start + declared {
+            self.fill()?;
+        }
+        let body = self.buf[body_start..body_start + declared].to_vec();
+        self.start = body_start + declared;
         if self.start == self.buf.len() {
             self.buf.clear();
             self.start = 0;
@@ -221,39 +203,6 @@ impl Conn {
         self.buf.extend_from_slice(&chunk[..n]);
         Ok(())
     }
-
-    /// De-chunks a `Transfer-Encoding: chunked` body starting at
-    /// `from`; returns (body, total bytes consumed from `buf`).
-    fn read_chunked_body(&mut self, from: usize) -> io::Result<(Vec<u8>, usize)> {
-        let mut body = Vec::new();
-        let mut pos = from;
-        loop {
-            // Chunk-size line.
-            let line_end = loop {
-                if let Some(i) = find_crlf(&self.buf, pos) {
-                    break i;
-                }
-                self.fill()?;
-            };
-            let size_text = std::str::from_utf8(&self.buf[pos..line_end])
-                .map_err(|_| bad("chunk size is not UTF-8"))?;
-            let size = usize::from_str_radix(size_text.trim(), 16)
-                .map_err(|_| bad("chunk size is not hex"))?;
-            pos = line_end + 2;
-            // Chunk data + trailing CRLF (the zero chunk has no data and
-            // its CRLF is the body terminator — our server sends no
-            // trailers).
-            while self.buf.len() < pos + size + 2 {
-                self.fill()?;
-            }
-            if size == 0 {
-                pos += 2;
-                return Ok((body, pos));
-            }
-            body.extend_from_slice(&self.buf[pos..pos + size]);
-            pos += size + 2;
-        }
-    }
 }
 
 fn bad(reason: &str) -> io::Error {
@@ -262,13 +211,6 @@ fn bad(reason: &str) -> io::Error {
 
 fn find_blank_line(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-fn find_crlf(buf: &[u8], from: usize) -> Option<usize> {
-    buf.get(from..)?
-        .windows(2)
-        .position(|w| w == b"\r\n")
-        .map(|i| from + i)
 }
 
 fn parse_head(head: &[u8]) -> io::Result<(u16, BTreeMap<String, String>)> {
@@ -294,14 +236,7 @@ fn parse_reply(raw: &[u8]) -> io::Result<HttpReply> {
     let split = find_blank_line(raw).ok_or_else(|| bad("response has no header/body separator"))?;
     let (status, headers) = parse_head(&raw[..split])?;
     let mut body = raw[split + 4..].to_vec();
-
-    // De-chunk a streamed body read to EOF.
-    let chunked = headers
-        .get("transfer-encoding")
-        .is_some_and(|v| v.eq_ignore_ascii_case("chunked"));
-    if chunked {
-        body = dechunk_complete(&body)?;
-    } else if let Some(declared) = headers.get("content-length").and_then(|v| v.parse().ok()) {
+    if let Some(declared) = headers.get("content-length").and_then(|v| v.parse().ok()) {
         if body.len() < declared {
             return Err(bad("response body shorter than content-length"));
         }
@@ -312,28 +247,6 @@ fn parse_reply(raw: &[u8]) -> io::Result<HttpReply> {
         headers,
         body,
     })
-}
-
-/// De-chunks a fully-received chunked body (one-shot, read-to-EOF path).
-fn dechunk_complete(raw: &[u8]) -> io::Result<Vec<u8>> {
-    let mut body = Vec::new();
-    let mut pos = 0;
-    loop {
-        let line_end = find_crlf(raw, pos).ok_or_else(|| bad("truncated chunk size line"))?;
-        let size_text =
-            std::str::from_utf8(&raw[pos..line_end]).map_err(|_| bad("chunk size is not UTF-8"))?;
-        let size = usize::from_str_radix(size_text.trim(), 16)
-            .map_err(|_| bad("chunk size is not hex"))?;
-        pos = line_end + 2;
-        if size == 0 {
-            return Ok(body);
-        }
-        let data = raw
-            .get(pos..pos + size)
-            .ok_or_else(|| bad("truncated chunk data"))?;
-        body.extend_from_slice(data);
-        pos += size + 2;
-    }
 }
 
 #[cfg(test)]
@@ -347,18 +260,6 @@ mod tests {
         assert_eq!(reply.status, 200);
         assert_eq!(reply.header("content-type"), Some("text/plain"));
         assert_eq!(reply.body, b"ok\n");
-        assert!(!reply.chunked());
-    }
-
-    #[test]
-    fn parses_a_chunked_reply_read_to_eof() {
-        let raw =
-            b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n";
-        let reply = parse_reply(raw).unwrap();
-        assert_eq!(reply.status, 200);
-        assert!(reply.chunked());
-        assert!(reply.closes());
-        assert_eq!(reply.body, b"hello world");
     }
 
     #[test]

@@ -43,11 +43,6 @@ pub struct ServeConfig {
     /// before the server answers `408` and closes — the slow-loris
     /// defense (`CALCIOM_HEADER_TIMEOUT_MS`, default 10000 ms).
     pub header_timeout_ms: u64,
-    /// `/v1/batch` responses stream chunked output once the batch's
-    /// total application count reaches this threshold
-    /// (`CALCIOM_STREAM_APPS`, default 512; 0 disables size-triggered
-    /// streaming). `?stream=1` / `?stream=0` override per request.
-    pub stream_apps: usize,
     /// Maximum concurrently open connections (`CALCIOM_MAX_CONNS`,
     /// default 1024). The epoll reactor stops accepting while at the
     /// cap, so a connection flood queues in the OS listen backlog
@@ -67,7 +62,6 @@ impl Default for ServeConfig {
             max_requests_per_conn: 1000,
             idle_timeout_ms: 5_000,
             header_timeout_ms: 10_000,
-            stream_apps: 512,
             max_conns: 1024,
         }
     }
@@ -124,7 +118,6 @@ impl ServeConfig {
                 });
             }
         }
-        config.stream_apps = parsed("CALCIOM_STREAM_APPS", config.stream_apps)?;
         config.max_conns = parsed("CALCIOM_MAX_CONNS", config.max_conns)?;
         if config.max_conns == 0 {
             return Err(ServeConfigError {

@@ -3,7 +3,7 @@
 //!
 //! [`Connection`] is transport-free: bytes go in ([`Connection::on_bytes`]),
 //! requests ready for dispatch come out ([`Connection::take_dispatch`]),
-//! response parts come back ([`Connection::on_part`]) and are framed into
+//! responses come back ([`Connection::on_response`]) and are framed into
 //! an outgoing byte buffer the transport drains
 //! ([`Connection::writable`] / [`Connection::advance_write`]). The epoll
 //! reactor drives one of these per socket; keeping the state machine free
@@ -14,9 +14,9 @@
 //! ## Lifecycle
 //!
 //! ```text
-//!             bytes            take_dispatch         on_part(..)
+//!             bytes            take_dispatch      on_response(..)
 //!  [reading] ───────▶ pending ───────────────▶ in-flight ─────▶ out buffer
-//!      │                                            │(close/cap/poison/abort)
+//!      │                                            │(close/cap/poison)
 //!      │ idle timeout (between requests)            ▼
 //!      ├──────────────────────────────────▶ [closing: flush, then drop]
 //!      │ header timeout (mid-request) → frame 408, then closing
@@ -26,10 +26,9 @@
 //! Exactly **one request is in flight per connection** — that is what
 //! keeps pipelined responses in request order without any reordering
 //! machinery: the next pending request is dispatched only after the
-//! current one's final part arrived.
+//! current one's response arrived.
 
-use crate::http::{chunk_frame, HttpError, Request, RequestParser, Response, CHUNK_END};
-use crate::service::ResponsePart;
+use crate::http::{HttpError, Request, RequestParser, Response};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -191,40 +190,10 @@ impl Connection {
         self.pending.push_front(PendingRequest { request, close });
     }
 
-    /// Routes one response part from the worker into the outgoing
-    /// buffer, applying the wire framing.
-    pub fn on_part(&mut self, part: ResponsePart) {
-        let close = self.in_flight.unwrap_or(true);
-        match part {
-            ResponsePart::Full(r) => {
-                self.out.extend_from_slice(&r.serialize(close));
-                self.complete(close);
-            }
-            ResponsePart::StreamHead(h) => {
-                self.out.extend_from_slice(&h.serialize_chunked_head(close));
-            }
-            ResponsePart::StreamChunk(c) => {
-                self.out.extend_from_slice(&chunk_frame(&c));
-            }
-            ResponsePart::StreamEnd => {
-                self.out.extend_from_slice(CHUNK_END);
-                self.complete(close);
-            }
-            ResponsePart::StreamAbort(_) => {
-                // The head is already on the wire; all the server can do
-                // is truncate — close without the terminal chunk so the
-                // client sees a short body, never a wrong one.
-                self.in_flight = None;
-                self.poisoned = None;
-                self.pending.clear();
-                self.reads_done = true;
-                self.closing = true;
-            }
-        }
-    }
-
-    fn complete(&mut self, close: bool) {
-        self.in_flight = None;
+    /// Frames the in-flight request's response into the outgoing buffer.
+    pub fn on_response(&mut self, response: Response) {
+        let close = self.in_flight.take().unwrap_or(true);
+        self.out.extend_from_slice(&response.serialize(close));
         if close {
             self.closing = true;
             self.reads_done = true;
@@ -263,11 +232,6 @@ impl Connection {
     /// Whether a request is being handled right now.
     pub fn is_in_flight(&self) -> bool {
         self.in_flight.is_some()
-    }
-
-    /// Whether parsed requests are waiting for dispatch.
-    pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
     }
 
     /// Whether the connection sits idle between requests with nothing
@@ -340,10 +304,10 @@ mod tests {
         let first = c.take_dispatch().unwrap();
         assert_eq!(first.path, "/a");
         assert!(c.take_dispatch().is_none(), "one in flight at a time");
-        c.on_part(ResponsePart::Full(ok_response()));
+        c.on_response(ok_response());
         let second = c.take_dispatch().unwrap();
         assert_eq!(second.path, "/b");
-        c.on_part(ResponsePart::Full(ok_response()));
+        c.on_response(ok_response());
         let out = String::from_utf8(c.writable().to_vec()).unwrap();
         assert_eq!(out.matches("HTTP/1.1 200").count(), 2);
         assert!(out.contains("connection: keep-alive"));
@@ -360,10 +324,10 @@ mod tests {
         .unwrap();
         assert!(!c.wants_read(), "reads stop at the cap");
         c.take_dispatch().unwrap();
-        c.on_part(ResponsePart::Full(ok_response()));
+        c.on_response(ok_response());
         let capped = c.take_dispatch().unwrap();
         assert_eq!(capped.path, "/b");
-        c.on_part(ResponsePart::Full(ok_response()));
+        c.on_response(ok_response());
         assert!(c.take_dispatch().is_none(), "/c never dispatches");
         let out = String::from_utf8(c.writable().to_vec()).unwrap();
         assert!(out.contains("connection: keep-alive"));
@@ -382,7 +346,7 @@ mod tests {
         .unwrap();
         let r = c.take_dispatch().unwrap();
         assert_eq!(r.path, "/a");
-        c.on_part(ResponsePart::Full(ok_response()));
+        c.on_response(ok_response());
         assert!(String::from_utf8(c.writable().to_vec())
             .unwrap()
             .contains("connection: close"));
@@ -398,57 +362,11 @@ mod tests {
         c.take_dispatch().unwrap();
         c.poison(Response::with_body(400, "application/json", "{}"));
         assert!(c.writable().is_empty(), "error must not overtake /a");
-        c.on_part(ResponsePart::Full(ok_response()));
+        c.on_response(ok_response());
         let out = String::from_utf8(c.writable().to_vec()).unwrap();
         let ok_at = out.find("HTTP/1.1 200").unwrap();
         let err_at = out.find("HTTP/1.1 400").unwrap();
         assert!(ok_at < err_at, "in-flight response first, then the error");
-        c.advance_write(c.writable().len(), Instant::now());
-        assert!(c.finished());
-    }
-
-    #[test]
-    fn streamed_parts_frame_as_chunked() {
-        let mut c = conn(None);
-        c.on_bytes(b"GET /a HTTP/1.1\r\n\r\n", Instant::now())
-            .unwrap();
-        c.take_dispatch().unwrap();
-        c.on_part(ResponsePart::StreamHead(Response::with_body(
-            200,
-            "application/json",
-            "",
-        )));
-        c.on_part(ResponsePart::StreamChunk(b"hello".to_vec()));
-        c.on_part(ResponsePart::StreamEnd);
-        let out = String::from_utf8(c.writable().to_vec()).unwrap();
-        assert!(out.contains("transfer-encoding: chunked"));
-        assert!(out.contains("5\r\nhello\r\n0\r\n\r\n"), "{out}");
-        assert!(!c.is_in_flight());
-    }
-
-    #[test]
-    fn stream_abort_truncates_and_closes() {
-        let mut c = conn(None);
-        c.on_bytes(
-            b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n",
-            Instant::now(),
-        )
-        .unwrap();
-        c.take_dispatch().unwrap();
-        c.on_part(ResponsePart::StreamHead(Response::with_body(
-            200,
-            "application/json",
-            "",
-        )));
-        c.on_part(ResponsePart::StreamChunk(b"partial".to_vec()));
-        c.on_part(ResponsePart::StreamAbort(Response::with_body(
-            500,
-            "application/json",
-            "{}",
-        )));
-        let out = String::from_utf8(c.writable().to_vec()).unwrap();
-        assert!(!out.contains("0\r\n\r\n"), "no terminal chunk on abort");
-        assert!(c.take_dispatch().is_none(), "/b is dropped");
         c.advance_write(c.writable().len(), Instant::now());
         assert!(c.finished());
     }
@@ -491,7 +409,7 @@ mod tests {
         c.undo_dispatch(r);
         assert!(!c.is_in_flight());
         c.take_dispatch().unwrap();
-        c.on_part(ResponsePart::Full(ok_response()));
+        c.on_response(ok_response());
         assert!(String::from_utf8(c.writable().to_vec())
             .unwrap()
             .contains("connection: close"));
@@ -505,7 +423,7 @@ mod tests {
         c.eof();
         assert!(!c.finished(), "still owes the /a response");
         c.take_dispatch().unwrap();
-        c.on_part(ResponsePart::Full(ok_response()));
+        c.on_response(ok_response());
         c.advance_write(c.writable().len(), Instant::now());
         assert!(c.finished());
     }

@@ -16,9 +16,7 @@
 //!   ([`HttpError::BodyTooLarge`] → `413`).
 //! * Responses carry explicit `Content-Length` + `Connection` framing
 //!   ([`Response::serialize`]), so one connection can carry many
-//!   exchanges; [`Response::serialize_chunked_head`] plus
-//!   [`chunk_frame`]/[`CHUNK_END`] frame streamed bodies with
-//!   `Transfer-Encoding: chunked`.
+//!   exchanges. The server never writes `Transfer-Encoding`.
 //!
 //! Connection lifetime policy (idle/header timeouts, requests-per-
 //! connection cap) lives in [`crate::conn`] and the reactor that drives
@@ -419,21 +417,6 @@ pub struct Response {
     pub body: Vec<u8>,
 }
 
-/// Terminal frame of a chunked body: the zero-length chunk.
-pub const CHUNK_END: &[u8] = b"0\r\n\r\n";
-
-/// Frames one chunk of a `Transfer-Encoding: chunked` body. Empty input
-/// produces no frame (an empty chunk would terminate the body).
-pub fn chunk_frame(data: &[u8]) -> Vec<u8> {
-    if data.is_empty() {
-        return Vec::new();
-    }
-    let mut out = format!("{:x}\r\n", data.len()).into_bytes();
-    out.extend_from_slice(data);
-    out.extend_from_slice(b"\r\n");
-    out
-}
-
 impl Response {
     /// A response with a body and content type.
     pub fn with_body(status: u16, content_type: &str, body: impl Into<Vec<u8>>) -> Response {
@@ -468,7 +451,9 @@ impl Response {
         }
     }
 
-    fn head_prefix(&self) -> String {
+    /// Serializes the full response with `Content-Length` framing and the
+    /// given `Connection` decision.
+    pub fn serialize(&self, close: bool) -> Vec<u8> {
         let mut head = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason());
         for (name, value) in &self.headers {
             head.push_str(name);
@@ -476,13 +461,7 @@ impl Response {
             head.push_str(value);
             head.push_str("\r\n");
         }
-        head
-    }
-
-    /// Serializes the full response with `Content-Length` framing and the
-    /// given `Connection` decision.
-    pub fn serialize(&self, close: bool) -> Vec<u8> {
-        let mut out = self.head_prefix().into_bytes();
+        let mut out = head.into_bytes();
         out.extend_from_slice(
             format!(
                 "content-length: {}\r\nconnection: {}\r\n\r\n",
@@ -492,21 +471,6 @@ impl Response {
             .as_bytes(),
         );
         out.extend_from_slice(&self.body);
-        out
-    }
-
-    /// Serializes status line + headers for a streamed response: chunked
-    /// transfer coding, no `Content-Length`. The body (which must be
-    /// empty here) follows as [`chunk_frame`]s ending in [`CHUNK_END`].
-    pub fn serialize_chunked_head(&self, close: bool) -> Vec<u8> {
-        let mut out = self.head_prefix().into_bytes();
-        out.extend_from_slice(
-            format!(
-                "transfer-encoding: chunked\r\nconnection: {}\r\n\r\n",
-                if close { "close" } else { "keep-alive" }
-            )
-            .as_bytes(),
-        );
         out
     }
 }
@@ -663,19 +627,6 @@ mod tests {
 
         let keep = String::from_utf8(response.serialize(false)).unwrap();
         assert!(keep.contains("connection: keep-alive\r\n"));
-    }
-
-    #[test]
-    fn chunked_head_and_frames() {
-        let head = Response::with_body(200, "application/json", "").serialize_chunked_head(false);
-        let head = String::from_utf8(head).unwrap();
-        assert!(head.contains("transfer-encoding: chunked\r\n"));
-        assert!(head.contains("connection: keep-alive\r\n"));
-        assert!(!head.contains("content-length"));
-
-        assert_eq!(chunk_frame(b"hello"), b"5\r\nhello\r\n");
-        assert!(chunk_frame(b"").is_empty());
-        assert_eq!(CHUNK_END, b"0\r\n\r\n");
     }
 
     #[test]

@@ -161,42 +161,31 @@ pub fn timeline_json(timeline: &Timeline) -> String {
     )
 }
 
-/// Opening fragment of a `/v1/batch` body — everything before the first
-/// run entry. Split out (with [`batch_entry_json`] and
-/// [`BATCH_EPILOGUE`]) so the streamed chunked rendering is
-/// byte-identical to the materialized [`batch_json`] *by construction*.
-pub fn batch_prelude(shards: usize, scenarios: usize) -> String {
-    format!("{{\"shards\":{shards},\"scenarios\":{scenarios},\"runs\":[")
-}
-
-/// Closing fragment of a `/v1/batch` body.
-pub const BATCH_EPILOGUE: &str = "]}\n";
-
-/// One `/v1/batch` run entry. Host wall-clock (which `ShardedRun`
-/// measures) is deliberately left out — the body must be a deterministic
-/// function of the request so the cache and the determinism contract
-/// hold; wall time goes to the request log instead.
-pub fn batch_entry_json(run: &ShardedRun) -> String {
-    let alone: Vec<String> = run
-        .alone
+/// The `/v1/batch` body: one entry per scenario, in request order. Host
+/// wall-clock (which `ShardedRun` measures) is deliberately left out —
+/// the body must be a deterministic function of the request so the cache
+/// and the determinism contract hold; wall time goes to the request log
+/// instead.
+pub fn batch_json(shards: usize, runs: &[ShardedRun]) -> String {
+    let entries: Vec<String> = runs
         .iter()
-        .map(|(app, secs)| format!("\"{}\":{}", app.0, json_f64(*secs)))
+        .map(|run| {
+            let alone: Vec<String> = run
+                .alone
+                .iter()
+                .map(|(app, secs)| format!("\"{}\":{}", app.0, json_f64(*secs)))
+                .collect();
+            format!(
+                "{{\"report\":{},\"alone_secs\":{{{}}}}}",
+                report_json(&run.report).trim_end(),
+                alone.join(",")
+            )
+        })
         .collect();
     format!(
-        "{{\"report\":{},\"alone_secs\":{{{}}}}}",
-        report_json(&run.report).trim_end(),
-        alone.join(",")
-    )
-}
-
-/// The `/v1/batch` body: one entry per scenario, in request order.
-pub fn batch_json(shards: usize, runs: &[ShardedRun]) -> String {
-    let entries: Vec<String> = runs.iter().map(batch_entry_json).collect();
-    format!(
-        "{}{}{}",
-        batch_prelude(shards, runs.len()),
-        entries.join(","),
-        BATCH_EPILOGUE
+        "{{\"shards\":{shards},\"scenarios\":{},\"runs\":[{}]}}\n",
+        runs.len(),
+        entries.join(",")
     )
 }
 

@@ -33,9 +33,9 @@
 //!
 //! Connections are persistent: HTTP/1.1 keep-alive with pipelining, an
 //! idle timeout between requests, a slow-loris (header) timeout inside
-//! them, and a requests-per-connection cap. Machine-scale `/v1/batch`
-//! responses stream `Transfer-Encoding: chunked` output as shard
-//! results complete (`?stream=1/0` overrides). One epoll reactor
+//! them, and a requests-per-connection cap. Every request gets exactly
+//! one `Content-Length` response, whatever its size, so its status is
+//! decided before its first byte is sent. One epoll reactor
 //! ([`reactor`]) multiplexes every connection, so the crate is Linux
 //! only.
 //!
@@ -61,4 +61,4 @@ pub use config::{ServeConfig, ServeConfigError};
 pub use http::{HttpError, ParsedRequest, Request, RequestParser, Response};
 pub use log::{BufferLog, CacheOutcome, RequestLog, RequestRecord, StderrLog};
 pub use server::{start, ServerHandle, ShutdownSignal};
-pub use service::{CollectSink, ResponsePart, ResponseSink, Service};
+pub use service::Service;

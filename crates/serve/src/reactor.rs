@@ -27,10 +27,9 @@
 //!   instead of blocking the event loop. This is also the slow-loris
 //!   defense in structural form: a dribbling client costs one
 //!   [`Connection`] and a timer scan, never a worker thread.
-//! * **Worker threads** — run [`Service::handle_into`], pushing
-//!   [`ResponsePart`]s onto the completion queue and waking the reactor
-//!   through the eventfd after each part, so streamed `/v1/batch`
-//!   chunks go out while later shards are still simulating.
+//! * **Worker threads** — run [`Service::handle_ctx`], push the one
+//!   [`Response`] it returns onto the completion queue, and wake the
+//!   reactor through the eventfd.
 //!
 //! Tokens: epoll `data` is `0` for the listener, `1` for the eventfd,
 //! and the connection id (always ≥ 2) otherwise.
@@ -45,8 +44,8 @@
 //! dropping the job sender, which terminates the worker pool.
 
 use crate::conn::{Connection, TimeoutKind};
-use crate::http::HttpError;
-use crate::service::{ResponsePart, ResponseSink, Service};
+use crate::http::{HttpError, Request, Response};
+use crate::service::Service;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -222,67 +221,33 @@ impl Drop for Epoll {
 /// One request handed to the worker pool.
 struct Job {
     conn: u64,
-    request: crate::http::Request,
+    request: Request,
 }
 
-/// One response part on its way back from a worker.
+/// One response on its way back from a worker.
 struct Completion {
     conn: u64,
-    part: ResponsePart,
-}
-
-/// The worker-side [`ResponseSink`]: parts go onto the shared queue and
-/// the reactor is woken per part, so streamed chunks reach the wire
-/// while the worker is still simulating later shards.
-struct QueueSink {
-    conn: u64,
-    queue: Arc<Mutex<VecDeque<Completion>>>,
-    wake: Arc<EventFd>,
-}
-
-impl ResponseSink for QueueSink {
-    fn part(&mut self, part: ResponsePart) {
-        self.queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back(Completion {
-                conn: self.conn,
-                part,
-            });
-        self.wake.wake();
-    }
-}
-
-/// Applies response parts straight to the connection's output buffer —
-/// the sink behind the reactor-thread fast path, where no completion
-/// queue hop is needed.
-struct ConnSink<'a>(&'a mut Connection);
-
-impl ResponseSink for ConnSink<'_> {
-    fn part(&mut self, part: ResponsePart) {
-        self.0.on_part(part);
-    }
+    response: Response,
 }
 
 fn worker_loop(
     rx: &Mutex<Receiver<Job>>,
     service: &Service,
-    queue: &Arc<Mutex<VecDeque<Completion>>>,
-    wake: &Arc<EventFd>,
+    queue: &Mutex<VecDeque<Completion>>,
+    wake: &EventFd,
 ) {
     loop {
         let job = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
-        match job {
-            Ok(job) => {
-                let mut sink = QueueSink {
-                    conn: job.conn,
-                    queue: Arc::clone(queue),
-                    wake: Arc::clone(wake),
-                };
-                service.handle_into(Some(job.conn), &job.request, &mut sink);
-            }
-            Err(_) => break,
-        }
+        let Ok(job) = job else { break };
+        let response = service.handle_ctx(Some(job.conn), &job.request);
+        queue
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push_back(Completion {
+                conn: job.conn,
+                response,
+            });
+        wake.wake();
     }
 }
 
@@ -510,7 +475,7 @@ impl Reactor {
             // A completion for a connection that died mid-request is
             // simply dropped — the work was already logged.
             if let Some(slot) = self.conns.get_mut(&completion.conn) {
-                slot.state.on_part(completion.part);
+                slot.state.on_response(completion.response);
             }
         }
     }
@@ -525,10 +490,11 @@ impl Reactor {
     fn dispatch_all(&mut self) {
         for (&id, slot) in self.conns.iter_mut() {
             while let Some(request) = slot.state.take_dispatch() {
-                let mut fast = ConnSink(&mut slot.state);
-                if self.service.handle_fast(Some(id), &request, &mut fast) {
-                    continue; // served inline; the next pipelined
-                              // request (if any) is now dispatchable
+                if let Some(response) = self.service.handle_fast(Some(id), &request) {
+                    // Served inline; the next pipelined request (if any)
+                    // is now dispatchable.
+                    slot.state.on_response(response);
+                    continue;
                 }
                 match self.job_tx.try_send(Job { conn: id, request }) {
                     Ok(()) => {}

@@ -1,13 +1,11 @@
 //! The request → response core of the service, socket-free.
 //!
-//! [`Service::handle_into`] maps one parsed [`Request`] to a sequence of
-//! [`ResponsePart`]s pushed into a [`ResponseSink`], and writes one
-//! structured log line. Most endpoints emit a single
-//! [`ResponsePart::Full`]; a machine-scale `/v1/batch` streams a chunked
-//! body as shard results complete. Keeping the core free of sockets
-//! means the whole endpoint surface (routing, validation, error mapping,
-//! caching, ETags, streaming decisions) is unit-testable without binding
-//! a port; the reactor ([`crate::reactor`]) is a pump around it.
+//! [`Service::handle_ctx`] maps one parsed [`Request`] to one
+//! [`Response`] and writes one structured log line. Every status is
+//! decided before the first byte goes out. Keeping the core free of
+//! sockets means the whole endpoint surface (routing, validation, error
+//! mapping, caching, ETags) is unit-testable without binding a port; the
+//! reactor ([`crate::reactor`]) is a pump around it.
 //!
 //! ## Statelessness and determinism
 //!
@@ -16,11 +14,8 @@
 //! deterministic, and the JSON/trace renderings iterate `BTreeMap`s —
 //! so concurrent identical requests produce byte-identical bodies,
 //! strong input-derived ETags are valid, and the response cache can
-//! never serve a stale or divergent body. A streamed `/v1/batch` body is
-//! byte-identical (after de-chunking) to the materialized rendering by
-//! construction — both are assembled from [`crate::json::batch_prelude`]
-//! \+ [`crate::json::batch_entry_json`] + [`crate::json::BATCH_EPILOGUE`].
-//! Host wall-clock appears only in the request log, never in a body.
+//! never serve a stale or divergent body. Host wall-clock appears only
+//! in the request log, never in a body.
 
 use crate::cache::{CachedResponse, ResponseCache};
 use crate::config::ServeConfig;
@@ -31,7 +26,7 @@ use calciom::{
     ConfigError, Error, NullObserver, PolicySpec, Scenario, SimEvent, SimObserver,
     TimelineAggregator, Trace, TraceRecorder,
 };
-use iobench::{run_scenarios_sharded, run_scenarios_sharded_streamed, BaselineCache};
+use iobench::{run_scenarios_sharded, BaselineCache};
 use simcore::time::SimTime;
 use std::time::Instant;
 
@@ -51,91 +46,6 @@ const ROUTES: &[(&str, &str)] = &[
     ("POST", "/v1/timeline"),
     ("POST", "/v1/batch"),
 ];
-
-/// One piece of a response on its way to the wire.
-///
-/// The service emits either a single [`ResponsePart::Full`], or a
-/// streamed sequence `StreamHead (StreamChunk)* (StreamEnd |
-/// StreamAbort)`. Transports own the framing: `Full` is written with
-/// `Content-Length`, a stream with `Transfer-Encoding: chunked`
-/// ([`Response::serialize_chunked_head`] /
-/// [`crate::http::chunk_frame`] / [`crate::http::CHUNK_END`]).
-#[derive(Debug)]
-pub enum ResponsePart {
-    /// A complete response; exactly one exchange.
-    Full(Response),
-    /// Status + headers of a streamed response. Its `body` is empty;
-    /// chunks follow.
-    StreamHead(Response),
-    /// One span of streamed body bytes (unframed — the transport applies
-    /// the chunked coding).
-    StreamChunk(Vec<u8>),
-    /// The stream completed; the transport writes the terminal chunk.
-    StreamEnd,
-    /// The stream failed after the head was sent. The carried response
-    /// is the error that *would* have been sent (for logs and
-    /// materializing sinks); a wire transport can only truncate — close
-    /// without the terminal chunk so the client detects the short body.
-    StreamAbort(Response),
-}
-
-/// Where [`Service::handle_into`] pushes response parts. Implemented by
-/// the reactor's completion queue and by [`CollectSink`] for tests and
-/// the materialized [`Service::handle`].
-pub trait ResponseSink {
-    /// Receives the next part, in order.
-    fn part(&mut self, part: ResponsePart);
-}
-
-/// A [`ResponseSink`] that reassembles whatever was emitted into one
-/// materialized [`Response`] — the bridge from the streaming interface
-/// back to "one request, one `Response`".
-#[derive(Debug, Default)]
-pub struct CollectSink {
-    full: Option<Response>,
-    head: Option<Response>,
-    chunks: Vec<u8>,
-    aborted: Option<Response>,
-}
-
-impl CollectSink {
-    /// A fresh sink.
-    pub fn new() -> Self {
-        CollectSink::default()
-    }
-
-    /// The materialized response: the `Full` part if one was emitted, a
-    /// completed stream reassembled under its head, or the abort error.
-    pub fn into_response(self) -> Response {
-        if let Some(error) = self.aborted {
-            return error;
-        }
-        if let Some(full) = self.full {
-            return full;
-        }
-        match self.head {
-            Some(mut head) => {
-                head.body = self.chunks;
-                head
-            }
-            // The service always emits at least one part; an empty sink
-            // means the caller never ran it.
-            None => Response::with_body(500, JSON, json::error_json("empty", "no response parts")),
-        }
-    }
-}
-
-impl ResponseSink for CollectSink {
-    fn part(&mut self, part: ResponsePart) {
-        match part {
-            ResponsePart::Full(r) => self.full = Some(r),
-            ResponsePart::StreamHead(h) => self.head = Some(h),
-            ResponsePart::StreamChunk(c) => self.chunks.extend_from_slice(&c),
-            ResponsePart::StreamEnd => {}
-            ResponsePart::StreamAbort(e) => self.aborted = Some(e),
-        }
-    }
-}
 
 /// Counts events while forwarding them, so the request log's `events=`
 /// column works for any observer.
@@ -161,15 +71,7 @@ impl<O: SimObserver> SimObserver for Counting<O> {
     }
 }
 
-/// What the log line needs from one dispatched request.
-struct LogMeta {
-    status: u16,
-    events: u64,
-    shards: Option<usize>,
-    cache: Option<CacheOutcome>,
-}
-
-/// One materialized dispatch: the response plus its log metadata.
+/// One dispatched request: the response plus what its log line needs.
 struct Handled {
     response: Response,
     events: u64,
@@ -185,18 +87,6 @@ impl Handled {
             shards: None,
             cache: None,
         }
-    }
-
-    /// Pushes the response into `sink` and returns the log metadata.
-    fn emit(self, sink: &mut dyn ResponseSink) -> LogMeta {
-        let meta = LogMeta {
-            status: self.response.status,
-            events: self.events,
-            shards: self.shards,
-            cache: self.cache,
-        };
-        sink.part(ResponsePart::Full(self.response));
-        meta
     }
 }
 
@@ -225,61 +115,44 @@ impl Service {
         &self.cache
     }
 
-    /// Handles one parsed request, materialized: streamed parts are
-    /// reassembled into a single [`Response`]. Logs with no connection
-    /// id — the unit-test and direct-call entry point.
+    /// Handles one parsed request and logs it, with no connection id —
+    /// the unit-test and direct-call entry point.
     pub fn handle(&self, request: &Request) -> Response {
         self.handle_ctx(None, request)
     }
 
-    /// [`Service::handle`] with the transport's connection id for the
-    /// request log.
+    /// Handles one parsed request and logs it with the transport's
+    /// connection id. This is the reactor workers' entry point.
     pub fn handle_ctx(&self, conn: Option<u64>, request: &Request) -> Response {
-        let mut sink = CollectSink::new();
-        self.handle_into(conn, request, &mut sink);
-        sink.into_response()
-    }
-
-    /// Handles one parsed request, pushing response parts into `sink`
-    /// as they become available, and logs it. This is the reactor's
-    /// entry point — a `/v1/batch` past the streaming threshold emits
-    /// chunks while later shards are still simulating.
-    pub fn handle_into(&self, conn: Option<u64>, request: &Request, sink: &mut dyn ResponseSink) {
         let started = Instant::now();
-        let meta = self.dispatch_into(request, sink);
+        let handled = self.dispatch(request);
         self.log.record(&RequestRecord {
             conn,
             method: request.method.clone(),
             path: request.path.clone(),
             scenario_hash: (!request.body.is_empty()).then(|| json::fnv64(&request.body)),
-            shards: meta.shards,
-            status: meta.status,
-            events: meta.events,
+            shards: handled.shards,
+            status: handled.response.status,
+            events: handled.events,
             wall: started.elapsed(),
-            cache: meta.cache,
+            cache: handled.cache,
         });
+        handled.response
     }
 
     /// Serves the request inline **iff** it carries no scenario: the
     /// no-body routes (`GET /healthz`, `GET /v1/policies`) and routing
-    /// errors (404/405). Returns `false` without touching `sink` for the
-    /// `POST` routes, whose scenario decode, cache lookup and simulation
-    /// all run on a worker.
+    /// errors (404/405). Returns `None` for the `POST` routes, whose
+    /// scenario decode, cache lookup and simulation all run on a worker.
     ///
     /// This is the epoll reactor's fast path: health checks are answered
     /// on the reactor thread itself instead of queueing behind
     /// simulations, and the reactor never decodes a scenario.
-    pub fn handle_fast(
-        &self,
-        conn: Option<u64>,
-        request: &Request,
-        sink: &mut dyn ResponseSink,
-    ) -> bool {
+    pub fn handle_fast(&self, conn: Option<u64>, request: &Request) -> Option<Response> {
         if request.method == "POST" && ROUTES.contains(&("POST", request.path.as_str())) {
-            return false;
+            return None;
         }
-        self.handle_into(conn, request, sink);
-        true
+        Some(self.handle_ctx(conn, request))
     }
 
     /// Builds and logs the response for a request that could not even be
@@ -302,13 +175,6 @@ impl Service {
         response
     }
 
-    fn dispatch_into(&self, request: &Request, sink: &mut dyn ResponseSink) -> LogMeta {
-        match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/v1/batch") => self.batch_into(request, sink),
-            _ => self.dispatch(request).emit(sink),
-        }
-    }
-
     fn dispatch(&self, request: &Request) -> Handled {
         match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/healthz") => Handled::plain(Response::with_body(200, TEXT, "ok\n")),
@@ -320,18 +186,7 @@ impl Service {
             ("POST", "/v1/run") => self.run(request),
             ("POST", "/v1/trace") => self.trace(request),
             ("POST", "/v1/timeline") => self.timeline(request),
-            ("POST", "/v1/batch") => {
-                // Reached only via the materializing path (handle());
-                // dispatch_into routes sockets through batch_into.
-                let mut sink = CollectSink::new();
-                let meta = self.batch_into(request, &mut sink);
-                Handled {
-                    response: sink.into_response(),
-                    events: meta.events,
-                    shards: meta.shards,
-                    cache: meta.cache,
-                }
-            }
+            ("POST", "/v1/batch") => self.batch(request),
             (_, path) => {
                 let allowed: Vec<&str> = ROUTES
                     .iter()
@@ -434,177 +289,53 @@ impl Service {
     }
 
     /// `POST /v1/batch`: several concatenated scenario documents fanned
-    /// out over the sharded backend. Past the streaming threshold (or
-    /// with `?stream=1`) the body goes out chunked, one entry per
-    /// scenario **as shard results complete**, in request order.
-    fn batch_into(&self, request: &Request, sink: &mut dyn ResponseSink) -> LogMeta {
+    /// out over the sharded backend, answered with one body listing a
+    /// report per scenario, in request order.
+    fn batch(&self, request: &Request) -> Handled {
         let shards = match self.shard_count(request) {
             Ok(n) => n,
-            Err(response) => return Handled::plain(response).emit(sink),
+            Err(response) => return Handled::plain(response),
         };
-        let emit_err = |response: Response, sink: &mut dyn ResponseSink| {
-            Handled {
-                response,
-                events: 0,
-                shards: Some(shards),
-                cache: None,
+        let scenarios = match self.batch_scenarios(request) {
+            Ok(scenarios) => scenarios,
+            Err(response) => {
+                return Handled {
+                    shards: Some(shards),
+                    ..Handled::plain(response)
+                }
             }
-            .emit(sink)
         };
-        let body = match body_text(request) {
-            Ok(t) => t,
-            Err(response) => return emit_err(response, sink),
-        };
-        let mut scenarios = Vec::new();
-        for text in split_scenarios(body) {
-            match self.prepare(text, request) {
-                Ok(s) => scenarios.push(s),
-                Err(response) => return emit_err(response, sink),
-            }
-        }
-        if scenarios.is_empty() {
-            return emit_err(
-                Response::with_body(
-                    400,
-                    JSON,
-                    json::error_json(
-                        "scenario-parse",
-                        &format!("batch body contains no {SCENARIO_HEADER:?} document"),
-                    ),
-                ),
-                sink,
-            );
-        }
-        let stream = match self.stream_requested(request, &scenarios) {
-            Ok(stream) => stream,
-            Err(response) => return emit_err(response, sink),
-        };
-
         let mut key = format!("/v1/batch shards={shards}\n");
         for scenario in &scenarios {
             key.push_str(&scenario.to_text());
         }
-
-        if !stream {
-            return self
-                .serve_cached(request, key, Some(shards), || {
-                    let runs = run_scenarios_sharded(&scenarios, shards, BaselineCache::global())
-                        .map_err(|e| error_response(&e))?;
-                    // The sharded runner executes unobserved, so no event
-                    // count is available for the log (recorded as 0).
-                    Ok((json::batch_json(shards, &runs).into_bytes(), JSON, 0))
-                })
-                .emit(sink);
-        }
-
-        // Streaming path. ETag revalidation and cache hits still
-        // short-circuit to a materialized response — only a cache miss
-        // actually streams.
-        let tag = json::etag(&key);
-        if let Some(handled) = self.revalidate_or_hit(request, &key, &tag, Some(shards)) {
-            return handled.emit(sink);
-        }
-
-        // The head goes out lazily, on the first shard result: a
-        // configuration error found while validating the scenarios must
-        // still produce a proper 4xx/5xx status line, which is only
-        // possible while nothing has been sent.
-        let mut started = false;
-        let mut first = true;
-        let mut accumulated: Vec<u8> = Vec::new();
-        let result =
-            run_scenarios_sharded_streamed(&scenarios, shards, BaselineCache::global(), |run| {
-                if !started {
-                    started = true;
-                    sink.part(ResponsePart::StreamHead(
-                        Response::with_body(200, JSON, Vec::new())
-                            .header("etag", &tag)
-                            .header("x-cache", CacheOutcome::Miss.label()),
-                    ));
-                    let prelude = json::batch_prelude(shards, scenarios.len());
-                    accumulated.extend_from_slice(prelude.as_bytes());
-                    sink.part(ResponsePart::StreamChunk(prelude.into_bytes()));
-                }
-                let mut entry = String::new();
-                if !first {
-                    entry.push(',');
-                }
-                first = false;
-                entry.push_str(&json::batch_entry_json(&run));
-                accumulated.extend_from_slice(entry.as_bytes());
-                sink.part(ResponsePart::StreamChunk(entry.into_bytes()));
-            });
-        match result {
-            Ok(()) => {
-                accumulated.extend_from_slice(json::BATCH_EPILOGUE.as_bytes());
-                sink.part(ResponsePart::StreamChunk(
-                    json::BATCH_EPILOGUE.as_bytes().to_vec(),
-                ));
-                sink.part(ResponsePart::StreamEnd);
-                self.cache.insert(
-                    &key,
-                    CachedResponse {
-                        body: accumulated,
-                        content_type: JSON,
-                        etag: tag,
-                        events: 0,
-                    },
-                );
-                LogMeta {
-                    status: 200,
-                    events: 0,
-                    shards: Some(shards),
-                    cache: Some(CacheOutcome::Miss),
-                }
-            }
-            Err(e) => {
-                let error = error_response(&e);
-                let status = error.status;
-                if started {
-                    // Head already sent: the wire can only truncate.
-                    sink.part(ResponsePart::StreamAbort(error));
-                } else {
-                    sink.part(ResponsePart::Full(error));
-                }
-                LogMeta {
-                    status,
-                    events: 0,
-                    shards: Some(shards),
-                    cache: None,
-                }
-            }
-        }
+        self.serve_cached(request, key, Some(shards), || {
+            let runs = run_scenarios_sharded(&scenarios, shards, BaselineCache::global())
+                .map_err(|e| error_response(&e))?;
+            // The sharded runner executes unobserved, so no event count
+            // is available for the log (recorded as 0).
+            Ok((json::batch_json(shards, &runs).into_bytes(), JSON, 0))
+        })
     }
 
-    /// Whether this `/v1/batch` request streams: `?stream=1/0` wins,
-    /// otherwise the batch's total application count against the
-    /// configured threshold (0 disables size-triggered streaming).
-    fn stream_requested(
-        &self,
-        request: &Request,
-        scenarios: &[Scenario],
-    ) -> Result<bool, Response> {
-        match query_param_checked(request, "stream")? {
-            Some(value) => match value.as_str() {
-                "1" | "true" => Ok(true),
-                "0" | "false" => Ok(false),
-                other => Err(Response::with_body(
-                    400,
-                    JSON,
-                    json::error_json(
-                        "bad-request",
-                        &format!("stream must be 0 or 1, got {other:?}"),
-                    ),
-                )),
-            },
-            None => {
-                if self.config.stream_apps == 0 {
-                    return Ok(false);
-                }
-                let total_apps: usize = scenarios.iter().map(|s| s.apps.len()).sum();
-                Ok(total_apps >= self.config.stream_apps)
-            }
+    /// Splits a `/v1/batch` body into documents and prepares each one; an
+    /// empty batch is a `400`.
+    fn batch_scenarios(&self, request: &Request) -> Result<Vec<Scenario>, Response> {
+        let scenarios = split_scenarios(body_text(request)?)
+            .into_iter()
+            .map(|text| self.prepare(text, request))
+            .collect::<Result<Vec<_>, _>>()?;
+        if scenarios.is_empty() {
+            return Err(Response::with_body(
+                400,
+                JSON,
+                json::error_json(
+                    "scenario-parse",
+                    &format!("batch body contains no {SCENARIO_HEADER:?} document"),
+                ),
+            ));
         }
+        Ok(scenarios)
     }
 
     /// The ETag/If-None-Match/response-cache wrapper every cacheable
@@ -901,22 +632,15 @@ mod tests {
             get("/nope"),
             get("/v1/run"),
         ] {
-            let mut sink = CollectSink::new();
-            assert!(
-                svc.handle_fast(None, &request, &mut sink),
-                "{}",
-                request.path
-            );
-            assert_ne!(sink.into_response().status, 500);
+            let status = svc.handle_fast(None, &request).map(|r| r.status);
+            assert!(status.is_some_and(|s| s != 500), "{}", request.path);
         }
         // Every POST route goes to a worker, even a request that is
         // already cached or cannot parse: the reactor decodes nothing.
         let body = scenario_text();
         assert_eq!(svc.handle(&post("/v1/run", "", body.clone())).status, 200);
         for request in [post("/v1/run", "", body), post("/v1/trace", "", "garbage")] {
-            let mut sink = CollectSink::new();
-            assert!(!svc.handle_fast(None, &request, &mut sink));
-            assert!(sink.full.is_none() && sink.head.is_none());
+            assert!(svc.handle_fast(None, &request).is_none());
         }
     }
 
@@ -1054,42 +778,12 @@ mod tests {
     }
 
     #[test]
-    fn streamed_batch_parts_reassemble_to_the_materialized_body() {
+    fn batch_is_cached_for_later_hits() {
         let svc = service();
         let body = format!("{}{}", scenario_text(), scenario_text());
-        let materialized = svc.handle(&post("/v1/batch", "shards=2&stream=0", body.clone()));
-        assert_eq!(materialized.status, 200);
-
-        // Fresh service so the cache is cold — a hit would short-circuit
-        // to a Full part instead of streaming.
-        let svc = service();
-        let mut sink = CollectSink::new();
-        svc.handle_into(
-            None,
-            &post("/v1/batch", "shards=2&stream=1", body),
-            &mut sink,
-        );
-        assert!(sink.full.is_none(), "a cold streamed batch must stream");
-        let head = sink.head.as_ref().expect("stream head was emitted");
-        assert_eq!(head.status, 200);
-        assert!(head
-            .headers
-            .iter()
-            .any(|(n, v)| n == "x-cache" && v == "miss"));
-        let streamed = sink.into_response();
-        assert_eq!(
-            streamed.body, materialized.body,
-            "de-chunked stream must be byte-identical to the materialized body"
-        );
-    }
-
-    #[test]
-    fn streamed_batch_is_cached_for_later_hits() {
-        let svc = service();
-        let body = format!("{}{}", scenario_text(), scenario_text());
-        let first = svc.handle(&post("/v1/batch", "shards=2&stream=1", body.clone()));
+        let first = svc.handle(&post("/v1/batch", "shards=2", body.clone()));
         assert_eq!(first.status, 200);
-        let second = svc.handle(&post("/v1/batch", "shards=2&stream=1", body));
+        let second = svc.handle(&post("/v1/batch", "shards=2", body));
         assert_eq!(second.body, first.body);
         assert!(second
             .headers
@@ -1098,27 +792,15 @@ mod tests {
     }
 
     #[test]
-    fn bad_stream_flag_is_a_400() {
+    fn stream_parameter_is_ignored_like_any_unknown_one() {
         let svc = service();
-        let response = svc.handle(&post("/v1/batch", "stream=maybe", scenario_text()));
-        assert_eq!(response.status, 400);
-    }
-
-    #[test]
-    fn stream_threshold_triggers_on_total_apps() {
-        let config = ServeConfig {
-            stream_apps: 3,
-            ..ServeConfig::default()
-        };
-        let svc = Service::new(config, Box::new(BufferLog::new()));
-        // Two documents × two apps = 4 ≥ 3: streams without ?stream=1.
-        let body = format!("{}{}", scenario_text(), scenario_text());
-        let mut sink = CollectSink::new();
-        svc.handle_into(None, &post("/v1/batch", "shards=2", body), &mut sink);
-        assert!(
-            sink.head.is_some(),
-            "past the app threshold the batch must stream"
-        );
+        let plain = svc.handle(&post("/v1/batch", "", scenario_text()));
+        assert_eq!(plain.status, 200);
+        for query in ["stream=maybe", "stream=1", "stream=%zz"] {
+            let response = svc.handle(&post("/v1/batch", query, scenario_text()));
+            assert_eq!(response.status, 200, "{query}");
+            assert_eq!(response.body, plain.body, "{query}");
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Persistent-connection integration tests of the epoll reactor:
 //! pipelining order and byte-identity, the requests-per-connection cap,
 //! idle and slow-loris timeouts, keep-alive reuse visible in the request
-//! log, streamed `/v1/batch` bodies, and graceful shutdown with
-//! persistent connections open.
+//! log, a machine-scale `/v1/batch` as one response, and graceful
+//! shutdown with persistent connections open.
 
 use calciom::{AccessPattern, AppConfig, AppId, PfsConfig, Scenario};
 use serve::client::{self, Conn};
@@ -230,60 +230,33 @@ fn idle_keep_alive_connections_are_closed_after_the_idle_timeout() {
     handle.shutdown();
 }
 
+/// A committed 4-application flat scenario.
+const FLAT_4APPS: &str = include_str!("flat_4apps.scenario");
+
 #[test]
-fn streamed_batch_is_chunked_and_byte_identical_to_materialized() {
+fn large_batch_is_one_content_length_response_on_a_kept_alive_connection() {
     let (handle, _) = boot(config());
     let mut conn = Conn::connect(handle.addr()).unwrap();
-    let docs = format!("{}{}", scenario_text(), scenario_text());
-
-    let materialized = conn
-        .request("POST", "/v1/batch?shards=2&stream=0", &[], docs.as_bytes())
+    // 128 documents × 4 applications = 512 applications in one batch.
+    let docs = FLAT_4APPS.repeat(128);
+    let reply = conn
+        .request("POST", "/v1/batch?shards=4", &[], docs.as_bytes())
         .unwrap();
-    assert_eq!(materialized.status, 200, "{}", materialized.text());
-    assert!(!materialized.chunked());
-
-    // stream=1 skips the response cache only on a cold key, so vary
-    // shards… no: same scenario, but the cached entry would be
-    // served materialized. Use a distinct scenario set instead.
-    let fresh_docs = format!("{docs}{}", scenario_text());
-    let materialized = conn
-        .request(
-            "POST",
-            "/v1/batch?shards=2&stream=0",
-            &[],
-            fresh_docs.as_bytes(),
-        )
-        .unwrap();
-    // A different server, same config, so the streamed run is cold.
-    let (cold, _) = boot(config());
-    let mut cold_conn = Conn::connect(cold.addr()).unwrap();
-    let streamed = cold_conn
-        .request(
-            "POST",
-            "/v1/batch?shards=2&stream=1",
-            &[],
-            fresh_docs.as_bytes(),
-        )
-        .unwrap();
-    assert_eq!(streamed.status, 200);
-    assert!(
-        streamed.chunked(),
-        "a cold stream=1 batch must use chunked framing"
-    );
+    assert_eq!(reply.status, 200, "{}", reply.text());
+    assert_eq!(reply.header("transfer-encoding"), None);
     assert_eq!(
-        streamed.body, materialized.body,
-        "de-chunked stream must equal the materialized body"
+        reply.header("content-length"),
+        Some(reply.body.len().to_string().as_str())
     );
-    // The connection survives the stream: keep-alive framing held.
+    let text = reply.text();
+    assert!(text.contains("\"scenarios\":128"), "{text}");
+    assert_eq!(text.matches("\"report\":").count(), 128);
+    // The connection keeps serving after the large response.
     assert_eq!(
-        cold_conn
-            .request("GET", "/healthz", &[], &[])
-            .unwrap()
-            .status,
+        conn.request("GET", "/healthz", &[], &[]).unwrap().status,
         200,
-        "connection usable after a streamed response"
+        "connection usable after a large batch"
     );
-    cold.shutdown();
     handle.shutdown();
 }
 
@@ -304,7 +277,7 @@ fn graceful_shutdown_completes_in_flight_and_closes_idle_connections() {
     // the signal lands).
     let docs: String = (0..20).map(|_| scenario_text()).collect();
     let mut busy = Conn::connect(addr).unwrap();
-    busy.send("POST", "/v1/batch?shards=1&stream=0", &[], docs.as_bytes())
+    busy.send("POST", "/v1/batch?shards=1", &[], docs.as_bytes())
         .unwrap();
     std::thread::sleep(Duration::from_millis(50));
 

@@ -287,6 +287,37 @@ fn oversized_server_count_is_a_422_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn runtime_failure_in_a_batch_is_a_500_and_the_connection_keeps_serving() {
+    // The second document cannot finish within its one-tick horizon: it
+    // validates, then fails while simulating.
+    let flat = include_str!("flat_4apps.scenario");
+    let cut = flat.replace("horizon_ticks = 3909605497\n", "horizon_ticks = 1\n");
+    assert!(cut.contains("horizon_ticks = 1\n"));
+    let handle = boot(test_config());
+    let mut conn = client::Conn::connect(handle.addr()).unwrap();
+    let docs = format!("{flat}{cut}");
+    let reply = conn
+        .request("POST", "/v1/batch", &[], docs.as_bytes())
+        .unwrap();
+    assert_eq!(reply.status, 500, "{}", reply.text());
+    assert_eq!(
+        reply.header("content-length"),
+        Some(reply.body.len().to_string().as_str())
+    );
+    assert!(
+        reply.text().contains("\"kind\":\"session\""),
+        "{}",
+        reply.text()
+    );
+    assert!(!reply.closes(), "a 500 keeps the connection alive");
+    assert_eq!(
+        conn.request("GET", "/healthz", &[], &[]).unwrap().status,
+        200
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn graceful_shutdown_drains_and_joins() {
     let handle = boot(test_config());
     let addr = handle.addr();

@@ -155,11 +155,6 @@ impl<E, M: Medium> Kernel<E, M> {
         self.queue.schedule(at.max(self.now), payload)
     }
 
-    /// Schedules `payload` after `delay`.
-    pub fn schedule_after(&mut self, delay: SimDuration, payload: E) -> EventId {
-        self.schedule(self.now + delay, payload)
-    }
-
     /// Cancels a scheduled event; `false` if it already fired or was
     /// already cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {

@@ -81,12 +81,6 @@ impl DetRng {
         -mean * u.ln()
     }
 
-    /// Samples a log-normal distribution parameterized by the underlying
-    /// normal's mean `mu` and standard deviation `sigma`.
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        (mu + sigma * self.standard_normal()).exp()
-    }
-
     /// Samples a standard normal via the Box-Muller transform.
     pub fn standard_normal(&mut self) -> f64 {
         let u1 = 1.0 - self.next_f64();
