@@ -19,8 +19,10 @@
 //!   each key session;
 //! * `--policy <spec>` (fig14, repeatable) — restrict the compared
 //!   arbitration policies;
-//! * `--medium <label>` (fig14) — run the sweep on the named
-//!   bandwidth-sharing medium (`max-min` or `fair-fast`).
+//! * `--medium <label>` (fig14) — force the sweep onto the named
+//!   bandwidth-sharing medium (`max-min` or `fair-fast`). Without it the
+//!   sweep gets max-min results, on the virtual-time medium wherever
+//!   `PfsConfig::fair_fast_is_exact` holds.
 
 use crate::experiment::{Experiment, RunOptions};
 use crate::Registry;

@@ -20,9 +20,11 @@
 //!
 //! `--policy <spec>` (repeatable) restricts the comparison to the named
 //! policies — any spec the registry can parse, e.g. `--policy rr(3s)`.
-//! `--medium fair-fast` plays the tournament on the `O(log n)`
-//! virtual-time medium instead of the exact max-min solver — the
-//! configuration for machine-scale sweeps.
+//! Without `--medium` the tournament gets max-min results, and runs them
+//! on the `O(log n)` virtual-time medium because the fig13 mix passes
+//! `PfsConfig::fair_fast_is_exact`. `--medium max-min` forces the exact
+//! solver; `--medium fair-fast` forces the virtual-time medium even on a
+//! file system where it only approximates.
 
 use super::FigureOutput;
 use crate::experiment::{Experiment, ExperimentOutput, Flag, RunOptions};

@@ -50,9 +50,13 @@ pub struct Scenario {
     /// [`Scenario::strategy`]'s built-in policy".
     pub arbitration: Option<PolicySpec>,
     /// Which bandwidth-sharing medium the file system simulates flows on.
-    /// [`SharingModel::MaxMin`] (the default, and what every legacy
-    /// scenario decodes to) is the exact max-min fluid solver;
-    /// [`SharingModel::FairFast`] is the `O(log n)` virtual-time model.
+    /// [`SharingModel::Auto`] (the default, and what every legacy scenario
+    /// decodes to) gives max-min results: on the `O(log n)` virtual-time
+    /// model where [`PfsConfig::fair_fast_is_exact`] holds and no observer
+    /// samples progress, on the max-min fluid solver otherwise.
+    /// [`SharingModel::MaxMin`] forces the solver (the oracle);
+    /// [`SharingModel::FairFast`] forces the virtual-time model, exact or
+    /// not.
     pub medium: SharingModel,
     /// Hierarchical multi-machine topology: per-machine leaf arbiters
     /// under a slot-owning root (see [`ClusterTransport`]). `None` (the
@@ -214,8 +218,8 @@ impl Scenario {
         if let Some(spec) = &self.arbitration {
             kv(&mut out, "arbitration", spec.to_text());
         }
-        // Same optional-key convention: only non-default media are
-        // written, so legacy (max-min) scenarios stay byte-identical.
+        // Same optional-key convention: only explicit media are written,
+        // so legacy (default-medium) scenarios stay byte-identical.
         if self.medium != SharingModel::default() {
             kv(&mut out, "medium", self.medium.label().to_string());
         }
@@ -536,9 +540,10 @@ impl ScenarioBuilder {
     }
 
     /// Selects the bandwidth-sharing medium the file system runs on.
-    /// Defaults to [`SharingModel::MaxMin`]; [`SharingModel::FairFast`]
-    /// trades exactness on unequal-share topologies for `O(log n)`
-    /// flow mutations (the machine-scale sweeps use it).
+    /// Defaults to [`SharingModel::Auto`] (max-min results, on the fast
+    /// medium wherever it is exact); [`SharingModel::MaxMin`] forces the
+    /// exact solver, and [`SharingModel::FairFast`] trades exactness on
+    /// unequal-share topologies for `O(log n)` flow mutations.
     pub fn medium(mut self, medium: SharingModel) -> Self {
         self.scenario.medium = medium;
         self
@@ -890,11 +895,18 @@ mod tests {
 
     #[test]
     fn medium_round_trips_and_legacy_text_is_unchanged() {
-        // Default (max-min) scenarios emit no medium key: their encoding
-        // is byte-identical to the pre-fair-medium format.
+        // Default-medium scenarios emit no medium key: their encoding is
+        // byte-identical to the pre-fair-medium format.
         let legacy = sample();
-        assert_eq!(legacy.medium, SharingModel::MaxMin);
+        assert_eq!(legacy.medium, SharingModel::Auto);
         assert!(!legacy.to_text().contains("medium"));
+
+        // An explicit max-min oracle is not the default, so it is written.
+        let mut exact = sample();
+        exact.medium = SharingModel::MaxMin;
+        let text = exact.to_text();
+        assert!(text.contains("medium = max-min"));
+        assert_eq!(Scenario::from_text(&text).unwrap(), exact);
 
         let mut fair = sample();
         fair.medium = SharingModel::FairFast;

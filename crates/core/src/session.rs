@@ -44,6 +44,7 @@ use crate::scenario::Scenario;
 use crate::strategy::{AccessOutcome, Strategy, YieldOutcome};
 use mpiio::{AppConfig, Granularity, IoPlan, StepKind};
 use pfs::{AppId, Pfs, PfsConfig, TransferId};
+use simcore::fair::SharingModel;
 use simcore::kernel::Kernel;
 use simcore::time::{SimDuration, SimTime};
 use simcore::Work;
@@ -404,6 +405,14 @@ impl<T: CoordinationTransport> Session<T> {
         mut self,
         observer: &mut O,
     ) -> Result<(SessionReport, Work), Error> {
+        // The default medium promises max-min results. The virtual-time
+        // medium reproduces every discrete event bit for bit where it is
+        // exact, but not the last ulps of the f64 progress samples, so a
+        // run that samples progress goes to the max-min solver.
+        if self.cfg.medium == SharingModel::Auto && observer.wants_progress() {
+            let exact = self.kernel.medium_mut().use_max_min();
+            debug_assert!(exact, "no write is submitted before execution");
+        }
         let mut em = Emitter {
             builder: ReportBuilder::new(&self.cfg),
             observer,
@@ -1236,6 +1245,25 @@ mod tests {
     }
 
     #[test]
+    fn default_medium_keeps_a_mutation_made_before_execution() {
+        // Moving a default-medium file system to max-min for a progress
+        // observer (a trace recorder) keeps an earlier throttle: the
+        // write still starves.
+        let scenario = Scenario::builder(rennes())
+            .app(app(0, "A", 336, 16.0, 0.0))
+            .build()
+            .unwrap();
+        let mut session = Session::new(&scenario).unwrap();
+        session.kernel.medium_mut().throttle_interconnect(0.0);
+        let mut recorder = crate::trace::TraceRecorder::for_scenario(&scenario);
+        let err = session.execute_with(&mut recorder).unwrap_err();
+        assert!(matches!(
+            err,
+            Error::Session(SessionError::StalledTransfer { .. })
+        ));
+    }
+
+    #[test]
     fn fair_fast_medium_runs_sessions_end_to_end() {
         // The virtual-time medium drives the same coordination machinery:
         // a two-application mix runs to completion under every strategy,
@@ -1259,6 +1287,7 @@ mod tests {
             let exact = Scenario::builder(rennes())
                 .apps(apps())
                 .strategy(strategy)
+                .medium(SharingModel::MaxMin)
                 .build()
                 .unwrap()
                 .run()

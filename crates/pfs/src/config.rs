@@ -64,7 +64,7 @@ pub struct PfsConfig {
     /// of one process).
     pub process_link_bw: f64,
     /// Aggregate interconnect ceiling in bytes/s between compute nodes and
-    /// the storage system (0 or infinite to disable).
+    /// the storage system (`f64::INFINITY` to disable; must be positive).
     pub interconnect_bw: f64,
     /// How servers share bandwidth between concurrent applications.
     pub share_policy: SharePolicy,
@@ -115,6 +115,34 @@ impl PfsConfig {
             }
         }
         Ok(())
+    }
+
+    /// Whether the `O(log n)` virtual-time medium reproduces the max-min
+    /// solver exactly on this file system: every write's per-server flows
+    /// are then governed by their server alone, at a cap/weight ratio
+    /// shared by every flow. Three clauses, all required:
+    ///
+    /// * the share policy is [`SharePolicy::ProportionalToProcesses`], so
+    ///   a flow's weight is its process count and its client cap is that
+    ///   count times `process_link_bw / num_servers`;
+    /// * `process_link_bw / num_servers >= 1`, so the cap's `.max(1.0)`
+    ///   floor in [`Pfs::submit_write`](crate::Pfs::submit_write) never
+    ///   lifts one flow's ratio above the others';
+    /// * `num_servers` times the peak server capacity (`absorb_bw` with a
+    ///   cache, `server_bw` without) fits in `interconnect_bw`, so the
+    ///   interconnect — a constraint every flow crosses but none is
+    ///   homed on — can never bind.
+    ///
+    /// The Nancy preset fails the last clause: 35 × 300 MB/s of cache
+    /// ingest exceeds its 10 GB/s interconnect.
+    pub fn fair_fast_is_exact(&self) -> bool {
+        let peak_server_bw = match &self.cache {
+            Some(c) => c.absorb_bw,
+            None => self.server_bw,
+        };
+        self.share_policy == SharePolicy::ProportionalToProcesses
+            && self.process_link_bw / self.num_servers as f64 >= 1.0
+            && self.num_servers as f64 * peak_server_bw <= self.interconnect_bw
     }
 
     /// Total aggregate file system bandwidth (no cache, single application).
@@ -251,6 +279,55 @@ mod tests {
             ..PfsConfig::default()
         };
         assert_eq!(c.aggregate_server_bw(), 100.0);
+    }
+
+    #[test]
+    fn fair_fast_exactness_needs_every_clause() {
+        let rennes = PfsConfig::grid5000_rennes();
+        assert!(rennes.fair_fast_is_exact());
+        assert!(PfsConfig::surveyor().fair_fast_is_exact());
+
+        // Clause 1: per-application shares give every flow weight 1 but a
+        // cap that grows with its process count.
+        let equal = PfsConfig {
+            share_policy: SharePolicy::EqualPerApplication,
+            ..rennes.clone()
+        };
+        assert!(!equal.fair_fast_is_exact());
+
+        // Clause 2: the cap floor binds once a process's link share per
+        // server drops below 1 B/s; exactly 1 B/s is still uniform.
+        let floor = |link: f64| PfsConfig {
+            process_link_bw: link * rennes.num_servers as f64,
+            ..rennes.clone()
+        };
+        assert!(floor(1.0).fair_fast_is_exact());
+        assert!(!floor(0.999).fair_fast_is_exact());
+
+        // Clause 3: the interconnect must carry every server at its peak,
+        // which is the cache's ingest speed when there is a cache.
+        let nancy = PfsConfig::grid5000_nancy();
+        assert!(!nancy.fair_fast_is_exact(), "35 x 300 MB/s > 10 GB/s");
+        let fits = PfsConfig {
+            interconnect_bw: 35.0 * 300.0e6,
+            ..nancy.clone()
+        };
+        assert!(fits.fair_fast_is_exact());
+        let just_short = PfsConfig {
+            interconnect_bw: 35.0 * 300.0e6 - 1.0,
+            ..nancy.clone()
+        };
+        assert!(!just_short.fair_fast_is_exact());
+        let uncached = PfsConfig {
+            cache: None,
+            ..nancy
+        };
+        assert!(uncached.fair_fast_is_exact(), "35 x 55 MB/s fits");
+        let unbounded = PfsConfig {
+            interconnect_bw: f64::INFINITY,
+            ..PfsConfig::grid5000_nancy()
+        };
+        assert!(unbounded.fair_fast_is_exact());
     }
 
     #[test]

@@ -148,18 +148,27 @@ pub struct Pfs {
 }
 
 impl Pfs {
-    /// Builds a file system from a validated configuration, on the default
-    /// (exact max-min) sharing model.
+    /// Builds a file system from a validated configuration, on the
+    /// default medium ([`SharingModel::Auto`]: max-min results).
     pub fn new(cfg: PfsConfig) -> Result<Self, ConfigError> {
         Self::with_medium(cfg, SharingModel::default())
     }
 
-    /// Builds a file system on an explicitly chosen sharing model.
+    /// Builds a file system on a chosen sharing model.
+    /// [`SharingModel::Auto`] resolves to the virtual-time medium when
+    /// [`PfsConfig::fair_fast_is_exact`] holds and to the max-min solver
+    /// otherwise; the explicit models are taken as named.
     pub fn with_medium(cfg: PfsConfig, sharing: SharingModel) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let mut net = match sharing {
-            SharingModel::MaxMin => Network::MaxMin(FluidNetwork::new()),
-            SharingModel::FairFast => Network::FairFast(VtFairNetwork::new()),
+        let fair_fast = match sharing {
+            SharingModel::Auto => cfg.fair_fast_is_exact(),
+            SharingModel::MaxMin => false,
+            SharingModel::FairFast => true,
+        };
+        let mut net = if fair_fast {
+            Network::FairFast(VtFairNetwork::new())
+        } else {
+            Network::MaxMin(FluidNetwork::new())
         };
         let interconnect = net.add_constraint(cfg.interconnect_bw);
         let mut servers = Vec::with_capacity(cfg.num_servers);
@@ -185,6 +194,27 @@ impl Pfs {
             now: SimTime::ZERO,
             bytes_completed: BTreeMap::new(),
         })
+    }
+
+    /// Moves a file system that has not yet seen a write onto the max-min
+    /// solver, keeping every constraint's current capacity (so an earlier
+    /// [`Pfs::throttle_interconnect`] survives). Returns whether the file
+    /// system now runs on max-min: `false` only when it runs on the
+    /// virtual-time medium and a write was already submitted, in which
+    /// case nothing changes.
+    pub fn use_max_min(&mut self) -> bool {
+        let Network::FairFast(fair) = &self.net else {
+            return true;
+        };
+        if self.next_id > 0 {
+            return false;
+        }
+        let mut exact = FluidNetwork::new();
+        for idx in 0..fair.constraint_count() {
+            exact.add_constraint(fair.capacity(ConstraintId(idx)));
+        }
+        self.net = Network::MaxMin(exact);
+        true
     }
 
     /// The configuration in use.
@@ -659,6 +689,50 @@ mod tests {
                 "{sharing:?}: a starved transfer never becomes an event"
             );
         }
+    }
+
+    /// The medium a file system resolved to.
+    fn medium(pfs: &Pfs) -> SharingModel {
+        match pfs.net {
+            Network::MaxMin(_) => SharingModel::MaxMin,
+            Network::FairFast(_) => SharingModel::FairFast,
+        }
+    }
+
+    #[test]
+    fn default_medium_is_fair_fast_only_where_exact() {
+        let on = |cfg: PfsConfig, sharing| medium(&Pfs::with_medium(cfg, sharing).unwrap());
+        let rennes = PfsConfig::grid5000_rennes();
+        let nancy = PfsConfig::grid5000_nancy();
+        assert_eq!(
+            on(rennes.clone(), SharingModel::Auto),
+            SharingModel::FairFast
+        );
+        assert_eq!(on(nancy.clone(), SharingModel::Auto), SharingModel::MaxMin);
+        for cfg in [rennes, nancy] {
+            for explicit in [SharingModel::MaxMin, SharingModel::FairFast] {
+                assert_eq!(on(cfg.clone(), explicit), explicit);
+            }
+        }
+    }
+
+    #[test]
+    fn use_max_min_keeps_capacities_and_refuses_after_a_write() {
+        let cfg = simple_cfg();
+        let mut pfs = Pfs::new(cfg.clone()).unwrap();
+        assert_eq!(medium(&pfs), SharingModel::FairFast);
+        pfs.throttle_interconnect(0.0);
+        assert!(pfs.use_max_min());
+        assert_eq!(medium(&pfs), SharingModel::MaxMin);
+        // The throttle survived the move: the write starves.
+        let tr = pfs.submit_write(AppId(0), 100.0e6, 128);
+        pfs.advance_to(t(1.0));
+        assert_eq!(pfs.stalled_transfers(), vec![(AppId(0), tr)]);
+
+        let mut busy = Pfs::with_medium(cfg, SharingModel::FairFast).unwrap();
+        busy.submit_write(AppId(0), 100.0e6, 128);
+        assert!(!busy.use_max_min(), "in-flight flows cannot move");
+        assert_eq!(medium(&busy), SharingModel::FairFast);
     }
 
     #[test]

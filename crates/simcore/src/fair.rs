@@ -43,7 +43,8 @@
 //! a *conservative approximation*: it caps the whole group at the
 //! tightest ratio rather than redistributing the capped flows' slack.
 //! The differential property suite pins the exact regime against the
-//! fluid solver.
+//! fluid solver; the file system layer states it for its own topology as
+//! `PfsConfig::fair_fast_is_exact` and picks this model only there.
 
 use crate::fluid::{completion_threshold, ConstraintId, FlowId, FlowProgress, FlowSpec, EPS};
 use crate::time::SimDuration;
@@ -55,10 +56,17 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 /// runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SharingModel {
+    /// Max-min results, on the fastest medium that provably gives them:
+    /// the file system layer resolves it to [`SharingModel::FairFast`]
+    /// where its configuration makes the virtual-time model exact and to
+    /// [`SharingModel::MaxMin`] everywhere else. The scenario codec
+    /// omits it, so it is what every legacy scenario decodes to.
+    #[default]
+    Auto,
     /// The incremental weighted max-min solver
     /// ([`FluidNetwork`](crate::fluid::FluidNetwork)) — exact,
-    /// `O(component)` per mutation.
-    #[default]
+    /// `O(component)` per mutation. The oracle the others are checked
+    /// against.
     MaxMin,
     /// The virtual-time fair-throughput model ([`VtFairNetwork`]) —
     /// `O(log n)` per mutation, exact on equal-share topologies.
@@ -66,15 +74,19 @@ pub enum SharingModel {
 }
 
 impl SharingModel {
-    /// Stable codec label (`max-min` / `fair-fast`).
+    /// Stable codec label (`auto` / `max-min` / `fair-fast`). The codec
+    /// writes only the explicit media: [`SharingModel::Auto`] is the
+    /// omitted default, and [`SharingModel::from_label`] does not parse
+    /// its label.
     pub fn label(self) -> &'static str {
         match self {
+            SharingModel::Auto => "auto",
             SharingModel::MaxMin => "max-min",
             SharingModel::FairFast => "fair-fast",
         }
     }
 
-    /// Parses [`SharingModel::label`] output.
+    /// Parses the label of an explicit medium (`max-min` / `fair-fast`).
     pub fn from_label(s: &str) -> Option<SharingModel> {
         match s {
             "max-min" => Some(SharingModel::MaxMin),
@@ -837,7 +849,9 @@ mod tests {
             assert_eq!(SharingModel::from_label(m.label()), Some(m));
         }
         assert_eq!(SharingModel::from_label("bogus"), None);
-        assert_eq!(SharingModel::default(), SharingModel::MaxMin);
+        // The default is chosen per file system, and is never spelled out.
+        assert_eq!(SharingModel::default(), SharingModel::Auto);
+        assert_eq!(SharingModel::from_label(SharingModel::Auto.label()), None);
     }
 
     #[test]

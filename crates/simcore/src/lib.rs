@@ -16,7 +16,8 @@
 //! * [`fair`] — the [`VtFairNetwork`] virtual-time fair-sharing model: the
 //!   same flow/constraint vocabulary, but completions are predicted once at
 //!   insert via a per-group virtual clock and a priority queue, making every
-//!   mutation `O(log n)`. [`SharingModel`] selects between the two.
+//!   mutation `O(log n)`. [`SharingModel`] selects between the two, or
+//!   leaves the choice to the file system layer (the default).
 //! * [`observe`] — time-stamped event streams ([`Stamped`], [`EventLog`]),
 //!   the substrate of the observability layer: higher crates define domain
 //!   events and stream them through observers built on these containers.

@@ -59,10 +59,13 @@ pub struct MachineMix {
     /// Applications start uniformly at random inside this window
     /// (seconds) — the paper's `dt` offset generalized to N arrivals.
     pub start_window_secs: f64,
-    /// The bandwidth-sharing medium the scenarios run on. The default
-    /// exact max-min solver re-rates a whole component per flow mutation;
-    /// machine-scale mixes (tens of thousands of applications) switch to
-    /// [`SharingModel::FairFast`] for `O(log n)` mutations.
+    /// The bandwidth-sharing medium the scenarios run on. The default,
+    /// [`SharingModel::Auto`], gives max-min results and runs them on the
+    /// `O(log n)` virtual-time medium whenever
+    /// [`PfsConfig::fair_fast_is_exact`] holds, as it does for the default
+    /// mix. [`SharingModel::MaxMin`] forces the solver, which re-rates a
+    /// whole component per flow mutation; [`SharingModel::FairFast`]
+    /// forces the virtual-time medium even where it only approximates.
     pub medium: SharingModel,
 }
 
@@ -278,10 +281,12 @@ mod tests {
 
     #[test]
     fn mix_runs_on_the_virtual_time_medium() {
-        // The machine-scale medium drives the same coordination machinery;
-        // on the mix's near-equal-share topology its schedule lands within
-        // a few percent of the exact solver's.
+        // The machine-scale medium drives the same coordination machinery,
+        // and the default mix is a topology where it is exact: its report
+        // equals the max-min solver's bit for bit, which is why the
+        // default medium runs it there.
         let base = mix(8, 5);
+        assert!(base.pfs.fair_fast_is_exact());
         let fair = MachineMix {
             medium: SharingModel::FairFast,
             ..base.clone()
@@ -291,14 +296,16 @@ mod tests {
             scenario.to_text().contains("medium = fair-fast"),
             "the medium must survive the scenario codec"
         );
-        let exact = base.scenario(Strategy::FcfsSerialize).run().unwrap();
+        let exact = MachineMix {
+            medium: SharingModel::MaxMin,
+            ..base
+        }
+        .scenario(Strategy::FcfsSerialize)
+        .run()
+        .unwrap();
         let quick = scenario.run().unwrap();
         assert_eq!(quick.apps.len(), 8);
-        let (a, b) = (exact.makespan.as_secs(), quick.makespan.as_secs());
-        assert!(
-            (a - b).abs() / a < 0.05,
-            "makespans diverged: max-min {a} vs fair-fast {b}"
-        );
+        assert_eq!(quick, exact, "fair-fast diverged from max-min");
     }
 
     #[test]

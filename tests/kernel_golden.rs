@@ -188,9 +188,13 @@ fn fair_fast_medium_reproduces_the_goldens_without_progress_samples() {
     for (label, _, scenario) in matrix() {
         let mut fair = scenario.clone();
         fair.medium = SharingModel::FairFast;
+        // The reference names the oracle: without progress samples the
+        // default medium would itself run on fair-fast here.
+        let mut exact = scenario.clone();
+        exact.medium = SharingModel::MaxMin;
         assert_eq!(
             hash(&fair),
-            hash(&scenario),
+            hash(&exact),
             "{label}: fair-fast event stream diverged from max-min"
         );
     }
@@ -271,14 +275,15 @@ fn shared_transport_matches_the_goldens_too() {
     }
 }
 
-/// The work counts of `scenario` in column order: events scheduled,
-/// popped, cancelled; flows completed; components solved, flows
-/// re-rated, flows scanned; heap pushes, heap pops, stale entries
-/// skipped, members visited.
-fn work_counts(scenario: &Scenario) -> [u64; 11] {
-    use calciom_stack::calciom::NullObserver;
-
-    let (_, _, w) = scenario.run_with(&mut NullObserver).unwrap();
+/// The work counts of a run of `scenario` observed by `observer`, in
+/// column order: events scheduled, popped, cancelled; flows completed;
+/// components solved, flows re-rated, flows scanned; heap pushes, heap
+/// pops, stale entries skipped, members visited.
+fn work_counts_with<O: calciom_stack::calciom::SimObserver>(
+    scenario: &Scenario,
+    observer: &mut O,
+) -> [u64; 11] {
+    let (_, _, w) = scenario.run_with(observer).unwrap();
     [
         w.events_scheduled,
         w.events_popped,
@@ -294,34 +299,53 @@ fn work_counts(scenario: &Scenario) -> [u64; 11] {
     ]
 }
 
+/// [`work_counts_with`] for an unobserved run.
+fn work_counts(scenario: &Scenario) -> [u64; 11] {
+    work_counts_with(scenario, &mut calciom_stack::calciom::NullObserver)
+}
+
+/// Column index of `Work::components_solved` in [`work_counts`].
+const COMPONENTS_SOLVED: usize = 4;
+
 /// Gate on the simulator's cost: the `Work` every golden scenario does
 /// is pinned on the max-min medium (kernel events, re-solves, re-rates,
-/// scans) and on the fair-fast medium (kernel events, heap operations,
-/// arena visits), and the 1-machine tree must do exactly the max-min
-/// work. The counts are deterministic like the traces, so any change to
-/// how much work the kernel or a medium does per scenario shows up here
-/// as an exact diff, whether or not the schedule moved.
+/// scans), on the fair-fast medium (kernel events, heap operations,
+/// arena visits) and on the default medium, and the 1-machine tree must
+/// do exactly the max-min work. The counts are deterministic like the
+/// traces, so any change to how much work the kernel or a medium does per
+/// scenario shows up here as an exact diff, whether or not the schedule
+/// moved.
+///
+/// The default column gates the medium choice: the eight uncached
+/// scenarios run unobserved on the virtual-time medium (no component
+/// solved), the cached Nancy one on the max-min solver, and a run that
+/// records a trace — progress samples included — on the max-min solver
+/// everywhere.
 #[test]
 fn work_counts_match_the_pinned_goldens() {
     use calciom_stack::calciom::{ClusterSpec, MachineSpec, SharingModel};
 
     #[rustfmt::skip]
-    let pinned: &[(&str, [[u64; 11]; 2])] = &[
-        ("interfere", [[68, 68, 0, 804, 84, 1212, 3744, 0, 0, 0, 0], [68, 68, 0, 804, 0, 0, 0, 804, 804, 0, 0]]),
-        ("fcfs", [[69, 69, 0, 804, 67, 804, 2484, 0, 0, 0, 0], [69, 69, 0, 804, 0, 0, 0, 804, 804, 0, 0]]),
-        ("interrupt", [[70, 70, 0, 804, 67, 804, 2484, 0, 0, 0, 0], [70, 70, 0, 804, 0, 0, 0, 804, 804, 0, 0]]),
-        ("delay", [[69, 69, 0, 804, 83, 1188, 3636, 0, 0, 0, 0], [69, 69, 0, 804, 0, 0, 0, 804, 804, 0, 0]]),
-        ("dynamic-file", [[4, 4, 0, 60, 5, 60, 216, 0, 0, 0, 0], [4, 4, 0, 60, 0, 0, 0, 60, 60, 0, 0]]),
-        ("interrupt-file", [[4, 4, 0, 60, 5, 60, 216, 0, 0, 0, 0], [4, 4, 0, 60, 0, 0, 0, 60, 60, 0, 0]]),
-        ("periodic-cache", [[8, 8, 0, 280, 10, 490, 2205, 0, 0, 0, 0], [8, 8, 0, 280, 0, 0, 0, 280, 280, 0, 0]]),
-        ("delay-phases", [[8, 7, 0, 48, 4, 48, 252, 0, 0, 0, 0], [8, 7, 0, 48, 0, 0, 0, 48, 48, 0, 0]]),
-        ("dynamic-3way", [[197, 197, 0, 768, 192, 768, 2328, 0, 0, 0, 0], [197, 197, 0, 768, 0, 0, 0, 768, 768, 0, 0]]),
+    let pinned: &[(&str, [[u64; 11]; 3])] = &[
+        ("interfere", [[68, 68, 0, 804, 84, 1212, 3744, 0, 0, 0, 0], [68, 68, 0, 804, 0, 0, 0, 804, 804, 0, 0], [68, 68, 0, 804, 0, 0, 0, 804, 804, 0, 0]]),
+        ("fcfs", [[69, 69, 0, 804, 67, 804, 2484, 0, 0, 0, 0], [69, 69, 0, 804, 0, 0, 0, 804, 804, 0, 0], [69, 69, 0, 804, 0, 0, 0, 804, 804, 0, 0]]),
+        ("interrupt", [[70, 70, 0, 804, 67, 804, 2484, 0, 0, 0, 0], [70, 70, 0, 804, 0, 0, 0, 804, 804, 0, 0], [70, 70, 0, 804, 0, 0, 0, 804, 804, 0, 0]]),
+        ("delay", [[69, 69, 0, 804, 83, 1188, 3636, 0, 0, 0, 0], [69, 69, 0, 804, 0, 0, 0, 804, 804, 0, 0], [69, 69, 0, 804, 0, 0, 0, 804, 804, 0, 0]]),
+        ("dynamic-file", [[4, 4, 0, 60, 5, 60, 216, 0, 0, 0, 0], [4, 4, 0, 60, 0, 0, 0, 60, 60, 0, 0], [4, 4, 0, 60, 0, 0, 0, 60, 60, 0, 0]]),
+        ("interrupt-file", [[4, 4, 0, 60, 5, 60, 216, 0, 0, 0, 0], [4, 4, 0, 60, 0, 0, 0, 60, 60, 0, 0], [4, 4, 0, 60, 0, 0, 0, 60, 60, 0, 0]]),
+        ("periodic-cache", [[8, 8, 0, 280, 10, 490, 2205, 0, 0, 0, 0], [8, 8, 0, 280, 0, 0, 0, 280, 280, 0, 0], [8, 8, 0, 280, 10, 490, 2205, 0, 0, 0, 0]]),
+        ("delay-phases", [[8, 7, 0, 48, 4, 48, 252, 0, 0, 0, 0], [8, 7, 0, 48, 0, 0, 0, 48, 48, 0, 0], [8, 7, 0, 48, 0, 0, 0, 48, 48, 0, 0]]),
+        ("dynamic-3way", [[197, 197, 0, 768, 192, 768, 2328, 0, 0, 0, 0], [197, 197, 0, 768, 0, 0, 0, 768, 768, 0, 0], [197, 197, 0, 768, 0, 0, 0, 768, 768, 0, 0]]),
     ];
     let mut failures = Vec::new();
     for (label, _, scenario) in matrix() {
-        let mut fair = scenario.clone();
-        fair.medium = SharingModel::FairFast;
-        let mut tree = scenario.clone();
+        let on = |medium: SharingModel| {
+            let mut s = scenario.clone();
+            s.medium = medium;
+            s
+        };
+        let exact = on(SharingModel::MaxMin);
+        let mut tree = exact.clone();
         tree.cluster = Some(ClusterSpec::new(
             1,
             vec![MachineSpec {
@@ -329,19 +353,34 @@ fn work_counts_match_the_pinned_goldens() {
                 apps: tree.apps.iter().map(|a| a.id).collect(),
             }],
         ));
-        let got = [work_counts(&scenario), work_counts(&fair)];
+        let got = [
+            work_counts(&exact),
+            work_counts(&on(SharingModel::FairFast)),
+            work_counts(&scenario),
+        ];
         let want = pinned.iter().find(|(l, _)| *l == label).map(|(_, w)| *w);
         if want != Some(got) {
             failures.push(format!("(\"{label}\", {got:?}),"));
+        }
+        let cached = scenario.pfs.cache.is_some();
+        if (got[2][COMPONENTS_SOLVED] == 0) == cached {
+            failures.push(format!(
+                "{label}: the default medium solved {} components (cache: {cached})",
+                got[2][COMPONENTS_SOLVED]
+            ));
         }
         let on_tree = work_counts(&tree);
         if on_tree != got[0] {
             failures.push(format!("{label}: 1-machine tree did {on_tree:?}"));
         }
+        let traced = work_counts_with(&scenario, &mut TraceRecorder::for_scenario(&scenario));
+        if traced != got[0] {
+            failures.push(format!("{label}: a traced default run did {traced:?}"));
+        }
     }
     assert!(
         failures.is_empty(),
-        "work counts diverged from the pinned goldens ([max-min, fair-fast] per scenario):\n{}",
+        "work counts diverged from the pinned goldens ([max-min, fair-fast, default] per scenario):\n{}",
         failures.join("\n")
     );
 }
